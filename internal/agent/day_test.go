@@ -149,3 +149,48 @@ func TestStateRoundTripWithGapPolicy(t *testing.T) {
 		t.Fatal("fixture tail produced no mean-filled rows; restart-under-fill untested")
 	}
 }
+
+// TestObserveDayRejectsBatchAtomically pins all-or-nothing batch
+// handling: a batch with one corrupt record partway through is
+// rejected without advancing any drive, so resubmitting the valid
+// records scores exactly as if the bad batch had never arrived.
+func TestObserveDayRejectsBatchAtomically(t *testing.T) {
+	_, model := setup(t)
+	batches := vendorDayBatches(t)
+	if len(batches) < 2 || len(batches[0]) < 3 {
+		t.Skip("fleet too small for a mixed batch")
+	}
+	ref, err := New(model, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := New(model, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range batches[:2] {
+		want, err := ref.ObserveDay(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := append([]dataset.Record(nil), batch...)
+		mid := len(bad) / 2
+		bad[mid] = bad[mid].Clone()
+		bad[mid].Smart[0] = math.NaN()
+		if _, err := a.ObserveDay(bad); err == nil {
+			t.Fatal("batch with a NaN record accepted")
+		}
+		got, err := a.ObserveDay(batch)
+		if err != nil {
+			t.Fatalf("resubmitting the valid batch: %v", err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("day %d: %d assessments after a rejected batch, want %d", batch[0].Day, len(got), len(want))
+		}
+		for i := range got {
+			if !sameAssessment(got[i], want[i]) {
+				t.Fatalf("day %d: %+v after a rejected batch, want %+v", batch[0].Day, got[i], want[i])
+			}
+		}
+	}
+}
