@@ -247,7 +247,9 @@ func (a *Agent) Observe(rec dataset.Record) (Assessment, error) {
 // call. It returns one assessment per emitted row (mean-filled days
 // precede their record's day) plus one Dropped entry per excluded
 // record, in input-record order — a superset of what per-record Observe
-// calls would return. Scores are identical to Observe's.
+// calls would return. Scores are identical to Observe's. A batch with
+// an invalid or out-of-order record is rejected whole, before any drive
+// advances.
 func (a *Agent) ObserveDay(recs []dataset.Record) ([]Assessment, error) {
 	if len(recs) == 0 {
 		return nil, nil
@@ -259,11 +261,11 @@ func (a *Agent) ObserveDay(recs []dataset.Record) ([]Assessment, error) {
 		a.dayPlans = make([]dayPlan, len(recs))
 	}
 	a.dayPlans = a.dayPlans[:len(recs)]
+	if err := a.checkBatch(recs); err != nil {
+		return nil, err
+	}
 	x, meta := a.scratchX[:0], a.scratchMeta[:0]
 	for i := range recs {
-		if err := recs[i].Validate(); err != nil {
-			return nil, err
-		}
 		st := a.state(recs[i].SerialNumber)
 		before := len(meta)
 		var err error
@@ -310,6 +312,33 @@ func (a *Agent) ObserveDay(recs []dataset.Record) ([]Assessment, error) {
 		}
 	}
 	return out, nil
+}
+
+// checkBatch rejects a batch before any drive advances: every record
+// must validate and follow its drive's last observed day (the state's,
+// or an earlier record's in the same batch). A rejected batch therefore
+// leaves every rolling state untouched, and the caller can resubmit the
+// valid records. Caller holds a.mu.
+func (a *Agent) checkBatch(recs []dataset.Record) error {
+	last := make(map[string]int, len(recs))
+	for i := range recs {
+		rec := &recs[i]
+		if err := rec.Validate(); err != nil {
+			return err
+		}
+		prev, ok := last[rec.SerialNumber]
+		if !ok {
+			prev = -1
+			if st, known := a.drives[rec.SerialNumber]; known && st.roll.Observed() > 0 {
+				prev = st.roll.LastDay()
+			}
+		}
+		if prev >= 0 && rec.Day <= prev {
+			return fmt.Errorf("agent: drive %s: day %d does not follow day %d", rec.SerialNumber, rec.Day, prev)
+		}
+		last[rec.SerialNumber] = rec.Day
+	}
+	return nil
 }
 
 // topFactors returns the three strongest positive contributions when
