@@ -3,23 +3,44 @@ package modelio
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/ml"
 	"repro/internal/simfleet"
 )
 
-// trainedModels trains one small model per algorithm on a shared tiny
-// fleet, plus the samples to verify score equality on.
+// trainedModels returns one small model per algorithm, trained once
+// per test binary on a shared tiny fleet. Tests only read the models.
 func trainedModels(t *testing.T) map[core.Algorithm]*core.Model {
 	t.Helper()
+	fixtureOnce.Do(func() { fixtureModels, fixtureErr = trainFixture() })
+	if fixtureErr != nil {
+		t.Fatal(fixtureErr)
+	}
+	return fixtureModels
+}
+
+var (
+	fixtureOnce   sync.Once
+	fixtureModels map[core.Algorithm]*core.Model
+	fixtureErr    error
+)
+
+func trainFixture() (map[core.Algorithm]*core.Model, error) {
 	cfg := simfleet.TinyConfig()
 	cfg.FailureScale = 0.04
 	fleet, err := simfleet.Simulate(cfg)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
+	}
+	frame, err := dataset.FrameFromDataset(fleet.Data)
+	if err != nil {
+		return nil, err
 	}
 	out := make(map[core.Algorithm]*core.Model)
 	for _, algo := range core.Algorithms() {
@@ -28,13 +49,13 @@ func trainedModels(t *testing.T) map[core.Algorithm]*core.Model {
 		if algo == core.AlgoCNNLSTM {
 			pc.SeqLen = 3
 		}
-		m, _, err := core.TrainOnFleet(fleet.Data, fleet.Tickets, pc)
+		m, _, err := core.TrainOnFrame(frame, fleet.Tickets, pc)
 		if err != nil {
-			t.Fatalf("%s: %v", algo, err)
+			return nil, fmt.Errorf("%s: %w", algo, err)
 		}
 		out[algo] = m
 	}
-	return out
+	return out, nil
 }
 
 func TestRoundTripAllAlgorithms(t *testing.T) {
