@@ -337,13 +337,13 @@ func BenchmarkPredictLatency(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	samples, err := p.BuildSamples()
+	set, err := p.BuildSampleSet()
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		model.Predict(samples[i%len(samples)].X)
+		model.Predict(set.Row(i % set.Len()))
 	}
 }
 

@@ -75,8 +75,6 @@ func main() {
 
 		searchOut = flag.String("search-out", "BENCH_search.json", "search report path (empty disables the SampleSet/view benchmarks)")
 
-		pipelineOut = flag.String("pipeline-out", "BENCH_pipeline.json", "pipeline report path (empty disables the frame data-plane benchmarks)")
-
 		serveOut = flag.String("serve-out", "BENCH_serve.json", "serving report path (empty disables the incremental scoring benchmarks)")
 
 		ioOut = flag.String("io-out", "BENCH_io.json", "telemetry container report path (empty disables the CSV-vs-MFPAC benchmarks)")
@@ -194,10 +192,6 @@ func main() {
 		runSearchBench(*searchOut, prepared)
 	}
 
-	if *pipelineOut != "" {
-		runPipelineBench(*pipelineOut, *scale)
-	}
-
 	if *serveOut != "" {
 		runServeBench(*serveOut, *scale)
 	}
@@ -261,19 +255,19 @@ func standardTrainingSet(scale float64) (train, all []ml.Sample, p *core.Prepare
 	fleetCfg := simfleet.DefaultConfig()
 	fleetCfg.Seed = 1
 	fleetCfg.FailureScale = scale
-	fleet, err := simfleet.Simulate(fleetCfg)
+	fleet, err := simfleet.SimulateFrame(fleetCfg)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	cfg := core.DefaultConfig("I")
-	p, err = core.Prepare(fleet.Data, fleet.Tickets, cfg)
+	p, err = core.PrepareFrame(fleet.Frame, fleet.Tickets, core.DefaultConfig("I"))
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	all, err = p.BuildSamples()
+	set, err := p.BuildSampleSet()
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	all = set.All().Materialize()
 	split, _ := sampling.SplitFraction(all, p.Config.TrainFrac)
 	train, err = sampling.UnderSample(split, p.Config.NegativeRatio, p.Config.Seed)
 	if err != nil {

@@ -66,23 +66,15 @@ func viewRatio(slice, view Result) ViewSpeedup {
 
 // runSearchBench measures the bin-once columnar engine against the
 // slice-copy representation on the search-shaped workloads the paper's
-// methodology hammers: sample construction, candidate sweeps that
-// historically rebuilt samples per configuration, CV fold + resampling
-// construction, hyper-parameter grid search, and sequential forward
-// selection.
+// methodology hammers: candidate sweeps that historically rebuilt
+// samples per configuration, CV fold + resampling construction,
+// hyper-parameter grid search, and sequential forward selection. The
+// slice side reads the columnar build materialised as []ml.Sample;
+// sample construction itself is timed on the columnar path only.
 func runSearchBench(path string, p *core.Prepared) {
 	cfg := p.Config
 	fmt.Println("search benchmarks: SampleSet/view engine vs slice representation")
 
-	// Sample construction: one row-struct + vector per record versus
-	// per-drive chunks appended into one flat arena.
-	buildSlice := benchFn("BuildSamples/slice", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := p.BuildSamples(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	buildView := benchFn("BuildSampleSet/columnar", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := p.BuildSampleSet(); err != nil {
@@ -92,14 +84,11 @@ func runSearchBench(path string, p *core.Prepared) {
 	})
 
 	// Shared inputs for the primitive comparisons.
-	samples, err := p.BuildSamples()
-	if err != nil {
-		log.Fatal(err)
-	}
 	set, err := p.BuildSampleSet()
 	if err != nil {
 		log.Fatal(err)
 	}
+	samples := set.All().Materialize()
 	trainS, testS := sampling.SplitFraction(samples, cfg.TrainFrac)
 	usS, err := sampling.UnderSample(trainS, cfg.NegativeRatio, cfg.Seed)
 	if err != nil {
@@ -121,11 +110,11 @@ func runSearchBench(path string, p *core.Prepared) {
 	sweepSlice := benchFn("GridSweep/rebuild_per_candidate", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, d := range depths {
-				cand, err := p.BuildSamples()
+				cand, err := p.BuildSampleSet()
 				if err != nil {
 					b.Fatal(err)
 				}
-				tr, _ := sampling.SplitFraction(cand, cfg.TrainFrac)
+				tr, _ := sampling.SplitFraction(cand.All().Materialize(), cfg.TrainFrac)
 				us, err := sampling.UnderSample(tr, cfg.NegativeRatio, cfg.Seed)
 				if err != nil {
 					b.Fatal(err)
@@ -245,11 +234,10 @@ func runSearchBench(path string, p *core.Prepared) {
 			"sfs_step_limit": 3,
 		},
 		Benchmarks: []Result{
-			buildSlice, buildView, sweepSlice, sweepView,
+			buildView, sweepSlice, sweepView,
 			cvSlice, cvView, gsSlice, gsView, sfsSlice, sfsView,
 		},
 		Speedups: map[string]ViewSpeedup{
-			"build":       viewRatio(buildSlice, buildView),
 			"grid_sweep":  viewRatio(sweepSlice, sweepView),
 			"cv_folds":    viewRatio(cvSlice, cvView),
 			"grid_search": viewRatio(gsSlice, gsView),
@@ -269,7 +257,7 @@ func runSearchBench(path string, p *core.Prepared) {
 	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
-	for _, key := range []string{"build", "grid_sweep", "cv_folds", "grid_search", "sfs"} {
+	for _, key := range []string{"grid_sweep", "cv_folds", "grid_search", "sfs"} {
 		s := report.Speedups[key]
 		fmt.Printf("%-30s %6.2fx faster, %6.2fx fewer allocations\n", key, s.TimeRatio, s.AllocRatio)
 	}

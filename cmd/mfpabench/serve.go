@@ -74,7 +74,11 @@ func runServeBench(path string, scale float64) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	model, _, err := core.TrainOnFleet(fleet.Data, fleet.Tickets, core.DefaultConfig("I"))
+	frame, err := dataset.FrameFromDataset(fleet.Data)
+	if err != nil {
+		log.Fatal(err)
+	}
+	model, _, err := core.TrainOnFrame(frame, fleet.Tickets, core.DefaultConfig("I"))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/features"
 	"repro/internal/ml"
+	"repro/internal/sampling"
 	"repro/internal/simfleet"
 )
 
@@ -86,17 +87,16 @@ func TestAlgorithms(t *testing.T) {
 
 func TestPrepare(t *testing.T) {
 	fleet := testFleet(t)
-	p, err := Prepare(fleet.Data, fleet.Tickets, DefaultConfig("I"))
+	p, err := PrepareFrame(testFrame(t), fleet.Tickets, DefaultConfig("I"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Data.Drives() == 0 {
+	if p.Frame.Drives() == 0 {
 		t.Fatal("no drives after preparation")
 	}
-	for _, sn := range p.Data.SerialNumbers() {
-		s, _ := p.Data.Series(sn)
-		if s.Vendor != "I" {
-			t.Fatalf("vendor filter leaked %s", s.Vendor)
+	for i := 0; i < p.Frame.Drives(); i++ {
+		if v := p.Frame.Drive(i).Vendor; v != "I" {
+			t.Fatalf("vendor filter leaked %s", v)
 		}
 	}
 	if p.LabelStats.Labelled == 0 {
@@ -111,16 +111,48 @@ func TestPrepare(t *testing.T) {
 	}
 }
 
-func TestPrepareUnknownVendor(t *testing.T) {
+// TestPrepareDerive pins the reuse rule: a variant that changes only
+// modelling settings shares the preparation and matches a fresh one;
+// a variant that changes a preprocessing setting is refused.
+func TestPrepareDerive(t *testing.T) {
 	fleet := testFleet(t)
-	if _, err := Prepare(fleet.Data, fleet.Tickets, DefaultConfig("XX")); err == nil {
-		t.Fatal("unknown vendor accepted")
+	base, err := PrepareFrame(testFrame(t), fleet.Tickets, DefaultConfig("I"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig("I")
+	cfg.Group = features.GroupS
+	cfg.NegativeRatio = 5
+	got, ok, err := base.Derive(cfg)
+	if err != nil || !ok {
+		t.Fatalf("Derive(group, ratio) = %v, %v", ok, err)
+	}
+	if got.Frame != base.Frame || got.Extractor == base.Extractor || got.Config.NegativeRatio != 5 {
+		t.Fatal("derived preparation does not share the frame with its own extractor and config")
+	}
+	want, err := PrepareFrame(testFrame(t), fleet.Tickets, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requirePreparedEquivalent(t, want, got)
+	for _, mutate := range []func(*Config){
+		func(c *Config) { c.Vendor = "II" },
+		func(c *Config) { c.Theta = 3 },
+		func(c *Config) { c.GapPolicy = dataset.GapPolicy{DropGap: 6, FillGap: 3} },
+		func(c *Config) { c.SkipClean = true },
+		func(c *Config) { c.SkipCumulate = true },
+	} {
+		cfg := DefaultConfig("I")
+		mutate(&cfg)
+		if _, ok, err := base.Derive(cfg); ok || err != nil {
+			t.Fatalf("Derive(%+v) = %v, %v; want a refusal", cfg, ok, err)
+		}
 	}
 }
 
 func TestTrainEndToEnd(t *testing.T) {
 	fleet := testFleet(t)
-	m, rep, err := TrainOnFleet(fleet.Data, fleet.Tickets, DefaultConfig("I"))
+	m, rep, err := TrainOnFrame(testFrame(t), fleet.Tickets, DefaultConfig("I"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,20 +172,25 @@ func TestTrainEndToEnd(t *testing.T) {
 	if fpr := rep.Eval.FPR(); fpr > 0.2 {
 		t.Fatalf("FPR = %g is implausibly high", fpr)
 	}
-	// Training never sees the future: every test sample is at or after
-	// the train end day.
-	samples, err := rep.Prepared.BuildSamples()
+	// Training never sees the future: no test sample predates the
+	// learning window's last day.
+	set, err := rep.Prepared.BuildSampleSet()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = samples
+	_, test := sampling.SplitFractionView(set.All(), rep.Prepared.Config.TrainFrac)
+	for i := 0; i < test.Len(); i++ {
+		if test.Day(i) < m.TrainEndDay {
+			t.Fatalf("test sample on day %d precedes train end day %d", test.Day(i), m.TrainEndDay)
+		}
+	}
 }
 
 func TestTrainFixedThreshold(t *testing.T) {
 	fleet := testFleet(t)
 	cfg := DefaultConfig("I")
 	cfg.FixedThreshold = true
-	m, _, err := TrainOnFleet(fleet.Data, fleet.Tickets, cfg)
+	m, _, err := TrainOnFrame(testFrame(t), fleet.Tickets, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +276,7 @@ func TestAblationSwitches(t *testing.T) {
 	} {
 		cfg := DefaultConfig("I")
 		mutate(&cfg)
-		if _, _, err := TrainOnFleet(fleet.Data, fleet.Tickets, cfg); err != nil {
+		if _, _, err := TrainOnFrame(testFrame(t), fleet.Tickets, cfg); err != nil {
 			t.Fatalf("ablation variant failed: %v", err)
 		}
 	}

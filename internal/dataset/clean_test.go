@@ -37,15 +37,30 @@ func TestGapPolicyValidate(t *testing.T) {
 	}
 }
 
+// runPipeline runs PreparePipeline on d's frame and returns the result
+// in record form.
+func runPipeline(t *testing.T, d *Dataset, opts PipelineOptions) (*Dataset, CleanStats) {
+	t.Helper()
+	f, err := FrameFromDataset(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, stats, err := PreparePipeline(f, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.ToDataset(), stats
+}
+
+// cleanOnly is the clean stage alone under the paper's policy.
+var cleanOnly = PipelineOptions{Policy: DefaultGapPolicy(), SkipCumulate: true}
+
 func TestCleanDropsLongGaps(t *testing.T) {
 	d := buildSet(t, map[string][]int{
 		"keep": {0, 1, 2, 3},
 		"drop": {0, 1, 15}, // gap of 14 ≥ 10
 	})
-	out, stats, err := CleanDiscontinuity(d, DefaultGapPolicy())
-	if err != nil {
-		t.Fatal(err)
-	}
+	out, stats := runPipeline(t, d, cleanOnly)
 	if _, ok := out.Series("drop"); ok {
 		t.Fatal("drive with ≥10 day gap survived")
 	}
@@ -59,10 +74,7 @@ func TestCleanDropsLongGaps(t *testing.T) {
 
 func TestCleanFillsShortGaps(t *testing.T) {
 	d := buildSet(t, map[string][]int{"A": {0, 3}}) // gap of 3 → fill days 1, 2
-	out, stats, err := CleanDiscontinuity(d, DefaultGapPolicy())
-	if err != nil {
-		t.Fatal(err)
-	}
+	out, stats := runPipeline(t, d, cleanOnly)
 	s, _ := out.Series("A")
 	if len(s.Records) != 4 {
 		t.Fatalf("filled series has %d records, want 4", len(s.Records))
@@ -92,10 +104,7 @@ func TestCleanLeavesMediumGaps(t *testing.T) {
 	// A gap of 5 is between FillGap (3) and DropGap (10): the drive
 	// survives but keeps its hole.
 	d := buildSet(t, map[string][]int{"A": {0, 5}})
-	out, stats, err := CleanDiscontinuity(d, DefaultGapPolicy())
-	if err != nil {
-		t.Fatal(err)
-	}
+	out, stats := runPipeline(t, d, cleanOnly)
 	s, _ := out.Series("A")
 	if len(s.Records) != 2 {
 		t.Fatalf("records = %d, want 2 (no fill)", len(s.Records))
@@ -107,28 +116,37 @@ func TestCleanLeavesMediumGaps(t *testing.T) {
 
 func TestCleanDoesNotMutateInput(t *testing.T) {
 	d := buildSet(t, map[string][]int{"A": {0, 3}})
-	before := d.Len()
-	if _, _, err := CleanDiscontinuity(d, DefaultGapPolicy()); err != nil {
+	f, err := FrameFromDataset(d)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Len() != before {
-		t.Fatal("CleanDiscontinuity mutated its input")
+	before := f.Len()
+	if _, _, err := PreparePipeline(f, PipelineOptions{Policy: DefaultGapPolicy()}); err != nil {
+		t.Fatal(err)
+	}
+	if f.Len() != before || f.Cumulated() {
+		t.Fatal("PreparePipeline mutated its input")
 	}
 }
 
 func TestCleanRejectsBadPolicy(t *testing.T) {
 	d := buildSet(t, map[string][]int{"A": {0, 1}})
-	if _, _, err := CleanDiscontinuity(d, GapPolicy{DropGap: 3, FillGap: 5}); err == nil {
+	f, err := FrameFromDataset(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := PreparePipeline(f, PipelineOptions{Policy: GapPolicy{DropGap: 3, FillGap: 5}}); err == nil {
 		t.Fatal("invalid policy accepted")
 	}
 }
 
+// cumulateOnly is the cumulate stage alone.
+var cumulateOnly = PipelineOptions{SkipClean: true}
+
 func TestCumulate(t *testing.T) {
 	d := buildSet(t, map[string][]int{"A": {0, 1, 2}})
-	if err := Cumulate(d); err != nil {
-		t.Fatal(err)
-	}
-	s, _ := d.Series("A")
+	out, _ := runPipeline(t, d, cumulateOnly)
+	s, _ := out.Series("A")
 	want := []float64{1, 2, 3}
 	for i, r := range s.Records {
 		if got := r.WCounts.Get(winevent.BadBlock); got != want[i] {
@@ -145,9 +163,8 @@ func TestCumulateMonotone(t *testing.T) {
 		s.Records[i].WCounts[1] = float64(i % 3)
 		s.Records[i].BCounts[0] = float64((i + 1) % 2)
 	}
-	if err := Cumulate(d); err != nil {
-		t.Fatal(err)
-	}
+	out, _ := runPipeline(t, d, cumulateOnly)
+	s, _ = out.Series("A")
 	for i := 1; i < len(s.Records); i++ {
 		for j := range s.Records[i].WCounts {
 			if s.Records[i].WCounts[j] < s.Records[i-1].WCounts[j] {

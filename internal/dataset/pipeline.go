@@ -31,23 +31,29 @@ var cumPool = sync.Pool{New: func() any {
 	return &cumScratch{w: make([]float64, wWidth), b: make([]float64, bWidth)}
 }}
 
-// PreparePipeline runs the record path's CleanDiscontinuity+Cumulate
-// preprocessing as one fused traversal of each drive's row range: gap
-// analysis, drop, mean-fill, and cumulation happen in a single pass
-// that writes survivors and synthesised fill rows straight into a
-// pre-sized output arena. No intermediate cleaned dataset exists and
-// the counters are never swept twice.
+// PreparePipeline runs the paper's preprocessing (§III-C) as one fused
+// traversal of each drive's row range:
 //
-// The result is bit-identical to CleanDiscontinuity followed by
-// Cumulate on the equivalent Dataset: fills average the two adjacent
-// daily observations element-wise, running totals accumulate in day
-// order, and the first observed row's counter bits are copied, not
+//   - Discontinuity optimisation (unless SkipClean): a drive with any
+//     interval of Policy.DropGap days or more is removed; intervals of
+//     2..Policy.FillGap days are filled with synthetic rows carrying the
+//     element-wise mean of the two adjacent daily observations (marked
+//     interpolated, firmware carried from the earlier row); intervals
+//     in between keep their hole — the data-quality hazard the paper
+//     notes for time-series models such as CNN_LSTM.
+//   - Cumulation (unless SkipCumulate): the W and B counters become
+//     running per-drive totals in day order, because daily counts are
+//     too sparse to show trends. A cumulated frame is marked, and
+//     cumulating it again errors.
+//
+// Survivors and fill rows are written straight into a pre-sized output
+// arena; the first observed row's counter bits are copied, not
 // recomputed. Per-drive work fans out over opts.Workers with a
-// deterministic ordered merge.
+// deterministic ordered merge, so the output is bit-identical at any
+// worker count.
 //
 // With both SkipClean and SkipCumulate set, f itself is returned.
-// Cleaning statistics are reported only when the clean stage runs,
-// matching the record path.
+// Cleaning statistics are reported only when the clean stage runs.
 func PreparePipeline(f *Frame, opts PipelineOptions) (*Frame, CleanStats, error) {
 	if f.cumulated && !opts.SkipCumulate {
 		return nil, CleanStats{}, fmt.Errorf("dataset: PreparePipeline on cumulated frame: counts are already running totals")

@@ -48,43 +48,51 @@ func (r *AblationResult) Row(setting string) (AblationRow, bool) {
 	return AblationRow{}, false
 }
 
-// runVariant trains one pipeline variant and converts it to a row.
+// runVariant trains one pipeline variant on the context fleet and
+// converts it to a row. Variants that keep the default preprocessing
+// share the context's preparation.
 func (c *Context) runVariant(setting string, mutate func(*core.Config)) (AblationRow, error) {
-	return c.runVariantOn(c.Fleet, setting, mutate)
+	cfg := c.PipelineConfig(primaryVendor, features.GroupSFWB)
+	mutate(&cfg)
+	p, err := c.prepare(cfg)
+	if err != nil {
+		return AblationRow{}, fmt.Errorf("experiments: variant %s: %w", setting, err)
+	}
+	return variantRow(setting, p)
 }
 
 // runVariantOn trains one pipeline variant against an explicit fleet.
-func (c *Context) runVariantOn(fleet *simfleet.Result, setting string, mutate func(*core.Config)) (AblationRow, error) {
+func (c *Context) runVariantOn(fleet *simfleet.FrameResult, setting string, mutate func(*core.Config)) (AblationRow, error) {
 	cfg := c.PipelineConfig(primaryVendor, features.GroupSFWB)
 	mutate(&cfg)
-	_, rep, err := core.TrainOnFleet(fleet.Data, fleet.Tickets, cfg)
+	p, err := core.PrepareFrame(fleet.Frame, fleet.Tickets, cfg)
+	if err != nil {
+		return AblationRow{}, fmt.Errorf("experiments: variant %s: %w", setting, err)
+	}
+	return variantRow(setting, p)
+}
+
+func variantRow(setting string, p *core.Prepared) (AblationRow, error) {
+	_, rep, err := core.Train(p)
 	if err != nil {
 		return AblationRow{}, fmt.Errorf("experiments: variant %s: %w", setting, err)
 	}
 	return AblationRow{Setting: setting, TPR: rep.Eval.TPR(), FPR: rep.Eval.FPR(), AUC: rep.Eval.AUC}, nil
 }
 
-// thetaFleet simulates (once) a fleet with heavy ticket delays and
-// machine abandonment, so the θ sensitivity test actually bites: with a
-// mean failure→repair lag of nine days and half the users walking away
-// from flaky machines early, a small θ leaves many failures
-// unlabellable (starving the positive class) while a large θ back-dates
-// labels into barely-degraded territory (polluting it).
-func (c *Context) thetaFleet() (*simfleet.Result, error) {
-	if c.slowTicketFleet != nil {
-		return c.slowTicketFleet, nil
-	}
+// thetaFleet simulates a fleet with heavy ticket delays and machine
+// abandonment, so the θ sensitivity test actually bites: with a mean
+// failure→repair lag of nine days and half the users walking away from
+// flaky machines early, a small θ leaves many failures unlabellable
+// (starving the positive class) while a large θ back-dates labels into
+// barely-degraded territory (polluting it).
+func (c *Context) thetaFleet() (*simfleet.FrameResult, error) {
 	cfg := c.Cfg
 	cfg.TicketDelayMeanDays = 9
 	cfg.TicketDelayMaxDays = 30
 	cfg.AbandonShare = 0.5
 	cfg.AbandonMaxDays = 15
-	fleet, err := simfleet.Simulate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	c.slowTicketFleet = fleet
-	return fleet, nil
+	return simfleet.SimulateFrame(cfg)
 }
 
 // AblationTheta sweeps the failure-time threshold θ (the paper sets 7
@@ -161,11 +169,12 @@ func (c *Context) AblationSegmentation() (*AblationResult, error) {
 // paper's point: k-fold validates on the past, so its estimate is
 // optimistic; TS-CV's estimate tracks reality.
 func (c *Context) AblationCrossValidation() (*AblationResult, error) {
-	train, test, p, err := c.Split(primaryVendor, features.GroupSFWB)
+	trainView, testView, p, err := c.SplitSet(primaryVendor, features.GroupSFWB)
 	if err != nil {
 		return nil, err
 	}
-	trainUS, err := sampling.UnderSample(train, p.Config.NegativeRatio, p.Config.Seed)
+	test := testView.Materialize()
+	trainUS, err := sampling.UnderSample(trainView.Materialize(), p.Config.NegativeRatio, p.Config.Seed)
 	if err != nil {
 		return nil, err
 	}

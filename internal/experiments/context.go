@@ -21,8 +21,8 @@ import (
 	"repro/internal/simfleet"
 )
 
-// Context owns the simulated fleets and caches the expensive shared
-// stages (preparation, sample building, splits) across experiments.
+// Context owns the simulated fleet and caches the expensive shared
+// stages (preparation, sample building) across experiments.
 type Context struct {
 	// Cfg is the fleet configuration of the headline experiments.
 	Cfg simfleet.Config
@@ -40,16 +40,14 @@ type Context struct {
 	// and never changes results, only wall-clock time.
 	Workers int
 
-	driftFleet      *simfleet.Result
-	slowTicketFleet *simfleet.Result
-
 	// frame is the fleet telemetry in columnar form, converted lazily;
-	// Prepared runs the fused frame pipeline on it.
+	// every preparation runs the fused frame pipeline on it.
 	frame *dataset.Frame
 
-	prepCache   map[string]*core.Prepared
-	sampleCache map[string][]ml.Sample
-	setCache    map[string]*ml.SampleSet
+	// prepCache holds one default preparation per vendor; variants
+	// that change only modelling settings derive from it.
+	prepCache map[string]*core.Prepared
+	setCache  map[string]*ml.SampleSet
 }
 
 // NewContext simulates the default experiment fleet. failureScale
@@ -69,13 +67,12 @@ func NewContextWith(cfg simfleet.Config) (*Context, error) {
 		return nil, err
 	}
 	c := &Context{
-		Cfg:         cfg,
-		Fleet:       fleet,
-		Registries:  make(map[string]*firmware.Registry),
-		Workers:     cfg.Workers,
-		prepCache:   make(map[string]*core.Prepared),
-		sampleCache: make(map[string][]ml.Sample),
-		setCache:    make(map[string]*ml.SampleSet),
+		Cfg:        cfg,
+		Fleet:      fleet,
+		Registries: make(map[string]*firmware.Registry),
+		Workers:    cfg.Workers,
+		prepCache:  make(map[string]*core.Prepared),
+		setCache:   make(map[string]*ml.SampleSet),
 	}
 	for _, v := range fleet.Config.Vendors {
 		c.Registries[v.Name] = v.Firmware
@@ -94,26 +91,35 @@ func (c *Context) PipelineConfig(vendor string, group features.Group) core.Confi
 	return cfg
 }
 
-// Prepared returns (caching) the prepared pipeline for a vendor. All
-// feature groups share one preparation because cleaning and labelling
-// are group-independent; only extraction differs, and extractors are
-// cheap. The cache key includes the group because Prepared embeds its
-// extractor.
+// Prepared returns the prepared pipeline of a vendor and feature group
+// under the paper's configuration.
 func (c *Context) Prepared(vendor string, group features.Group) (*core.Prepared, error) {
-	key := vendor + "/" + group.String()
-	if p, ok := c.prepCache[key]; ok {
-		return p, nil
-	}
+	return c.prepare(c.PipelineConfig(vendor, group))
+}
+
+// prepare returns the preparation of cfg on the context fleet. One
+// PrepareFrame result per vendor is kept: preprocessing does not
+// depend on the feature group or any modelling setting, so a cfg that
+// changes neither preprocessing setting derives from it (core.Derive).
+// Any other cfg is prepared afresh and not cached.
+func (c *Context) prepare(cfg core.Config) (*core.Prepared, error) {
 	f, err := c.FleetFrame()
 	if err != nil {
 		return nil, err
 	}
-	p, err := core.PrepareFrame(f, c.Fleet.Tickets, c.PipelineConfig(vendor, group))
-	if err != nil {
-		return nil, err
+	base, ok := c.prepCache[cfg.Vendor]
+	if !ok {
+		base, err = core.PrepareFrame(f, c.Fleet.Tickets, c.PipelineConfig(cfg.Vendor, features.GroupSFWB))
+		if err != nil {
+			return nil, err
+		}
+		c.prepCache[cfg.Vendor] = base
 	}
-	c.prepCache[key] = p
-	return p, nil
+	p, ok, err := base.Derive(cfg)
+	if err != nil || ok {
+		return p, err
+	}
+	return core.PrepareFrame(f, c.Fleet.Tickets, cfg)
 }
 
 // FleetFrame returns (converting once) the fleet telemetry as a
@@ -128,34 +134,6 @@ func (c *Context) FleetFrame() (*dataset.Frame, error) {
 	}
 	c.frame = f
 	return f, nil
-}
-
-// Samples returns (caching) the flat samples of a vendor/group pair.
-func (c *Context) Samples(vendor string, group features.Group) ([]ml.Sample, *core.Prepared, error) {
-	key := vendor + "/" + group.String()
-	p, err := c.Prepared(vendor, group)
-	if err != nil {
-		return nil, nil, err
-	}
-	if s, ok := c.sampleCache[key]; ok {
-		return s, p, nil
-	}
-	s, err := p.BuildSamples()
-	if err != nil {
-		return nil, nil, err
-	}
-	c.sampleCache[key] = s
-	return s, p, nil
-}
-
-// Split returns the chronological train/test split of a vendor/group.
-func (c *Context) Split(vendor string, group features.Group) (train, test []ml.Sample, p *core.Prepared, err error) {
-	samples, p, err := c.Samples(vendor, group)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	train, test = sampling.SplitFraction(samples, p.Config.TrainFrac)
-	return train, test, p, nil
 }
 
 // SampleSet returns (caching) the columnar sample set of a vendor/group
@@ -188,23 +166,6 @@ func (c *Context) SplitSet(vendor string, group features.Group) (train, test ml.
 	}
 	train, test = sampling.SplitFractionView(set.All(), p.Config.TrainFrac)
 	return train, test, p, nil
-}
-
-// DriftFleet simulates (once) the longer drifting fleet of the
-// Figs. 12/16 time-period study.
-func (c *Context) DriftFleet() (*simfleet.Result, error) {
-	if c.driftFleet != nil {
-		return c.driftFleet, nil
-	}
-	cfg := simfleet.DriftConfig()
-	cfg.FailureScale = c.Cfg.FailureScale
-	cfg.Seed = c.Cfg.Seed
-	fleet, err := simfleet.Simulate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	c.driftFleet = fleet
-	return fleet, nil
 }
 
 // VendorNames returns the simulated vendor names in spec order.

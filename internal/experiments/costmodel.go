@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/features"
 	"repro/internal/ml/metrics"
-	"repro/internal/sampling"
 )
 
 // CostRegime is one operational cost assumption.
@@ -43,12 +42,11 @@ type CostResult struct {
 // CostStudy trains the standard vendor-I model once and sweeps three
 // cost regimes over its test ROC.
 func (c *Context) CostStudy() (*CostResult, error) {
-	samples, p, err := c.Samples(primaryVendor, features.GroupSFWB)
+	_, testView, p, err := c.SplitSet(primaryVendor, features.GroupSFWB)
 	if err != nil {
 		return nil, err
 	}
-	train, test := sampling.SplitFraction(samples, p.Config.TrainFrac)
-	_ = train
+	test := testView.Materialize()
 	m, _, err := core.Train(p, test)
 	if err != nil {
 		return nil, err

@@ -39,8 +39,11 @@ const sampleBytes = 45*8 + 48
 
 // Fig20 instruments a full pipeline run on vendor I.
 func (c *Context) Fig20() (*Fig20Result, error) {
-	cfg := c.PipelineConfig(primaryVendor, features.GroupSFWB)
-	p, err := core.Prepare(c.Fleet.Data, c.Fleet.Tickets, cfg)
+	f, err := c.FleetFrame()
+	if err != nil {
+		return nil, err
+	}
+	p, err := core.PrepareFrame(f, c.Fleet.Tickets, c.PipelineConfig(primaryVendor, features.GroupSFWB))
 	if err != nil {
 		return nil, err
 	}
@@ -84,14 +87,14 @@ func (c *Context) Fig20() (*Fig20Result, error) {
 	}
 
 	// Measure raw prediction throughput on a real feature vector.
-	samples, err := p.BuildSamples()
+	set, err := p.BuildSampleSet()
 	if err != nil {
 		return nil, err
 	}
 	const probes = 20000
 	start := time.Now()
 	for i := 0; i < probes; i++ {
-		m.Predict(samples[i%len(samples)].X)
+		m.Predict(set.Row(i % set.Len()))
 	}
 	elapsed := time.Since(start)
 	res.PredictionsPerSecond = probes / elapsed.Seconds()

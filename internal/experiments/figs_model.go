@@ -8,6 +8,7 @@ import (
 	"repro/internal/ml"
 	"repro/internal/ml/forest"
 	"repro/internal/sampling"
+	"repro/internal/simfleet"
 )
 
 // MetricRow is one evaluated configuration with the paper's headline
@@ -59,8 +60,7 @@ type Fig9Result struct {
 func (c *Context) Fig9() (*Fig9Result, error) {
 	res := &Fig9Result{}
 	for _, g := range features.AllGroups() {
-		cfg := c.PipelineConfig(primaryVendor, g)
-		p, err := core.Prepare(c.Fleet.Data, c.Fleet.Tickets, cfg)
+		p, err := c.Prepared(primaryVendor, g)
 		if err != nil {
 			return nil, err
 		}
@@ -101,7 +101,7 @@ func (c *Context) Fig10() (*Fig10Result, error) {
 	for _, algo := range core.Algorithms() {
 		cfg := c.PipelineConfig(primaryVendor, features.GroupSFWB)
 		cfg.Algorithm = algo
-		p, err := core.Prepare(c.Fleet.Data, c.Fleet.Tickets, cfg)
+		p, err := c.prepare(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -144,8 +144,7 @@ func (c *Context) Fig11() (*Fig11Result, error) {
 	res := &Fig11Result{Failures: make(map[string]int)}
 	for _, st := range c.Fleet.Stats {
 		res.Failures[st.Name] = st.Failures
-		cfg := c.PipelineConfig(st.Name, features.GroupSFWB)
-		p, err := core.Prepare(c.Fleet.Data, c.Fleet.Tickets, cfg)
+		p, err := c.Prepared(st.Name, features.GroupSFWB)
 		if err != nil {
 			return nil, err
 		}
@@ -198,7 +197,10 @@ type Fig12Result struct {
 // Fig12 trains once on the drifting fleet's learning window and walks
 // forward five months, then repeats the walk with monthly iteration.
 func (c *Context) Fig12() (*Fig12Result, error) {
-	fleet, err := c.DriftFleet()
+	fcfg := simfleet.DriftConfig()
+	fcfg.FailureScale = c.Cfg.FailureScale
+	fcfg.Seed = c.Cfg.Seed
+	fleet, err := simfleet.SimulateFrame(fcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -206,16 +208,16 @@ func (c *Context) Fig12() (*Fig12Result, error) {
 	// Close the learning window around day 105 of the 270-day window,
 	// leaving five clean months of walk-forward evaluation.
 	cfg.TrainFrac = 0.4
-	p, err := core.Prepare(fleet.Data, fleet.Tickets, cfg)
+	p, err := core.PrepareFrame(fleet.Frame, fleet.Tickets, cfg)
 	if err != nil {
 		return nil, err
 	}
-	samples, err := p.BuildSamples()
+	set, err := p.BuildSampleSet()
 	if err != nil {
 		return nil, err
 	}
-	_, test := sampling.SplitFraction(samples, cfg.TrainFrac)
-	m, _, err := core.Train(p, test)
+	_, test := sampling.SplitFractionView(set.All(), cfg.TrainFrac)
+	m, _, err := core.Train(p, test.Materialize())
 	if err != nil {
 		return nil, err
 	}
@@ -225,6 +227,7 @@ func (c *Context) Fig12() (*Fig12Result, error) {
 	}
 	// Walk-forward selects by day internally, so passing the full
 	// sample set (not just the test split) keeps month boundaries exact.
+	samples := set.All().Materialize()
 	res.Months = m.WalkForward(samples, 30, 5)
 
 	// Extension: apply the paper's recommendation — retrain at each

@@ -68,8 +68,7 @@ func (c *Context) Fig18() (*Fig18Result, error) {
 	res := &Fig18Result{}
 
 	// MFPA (RF on SFWB with the full pipeline).
-	cfg := c.PipelineConfig(primaryVendor, features.GroupSFWB)
-	p, err := core.Prepare(c.Fleet.Data, c.Fleet.Tickets, cfg)
+	p, err := c.Prepared(primaryVendor, features.GroupSFWB)
 	if err != nil {
 		return nil, err
 	}
@@ -81,11 +80,11 @@ func (c *Context) Fig18() (*Fig18Result, error) {
 
 	// The vendor threshold detector needs no training; evaluate on the
 	// S-group test records.
-	_, testS, _, err := c.Split(primaryVendor, features.GroupS)
+	_, testS, _, err := c.SplitSet(primaryVendor, features.GroupS)
 	if err != nil {
 		return nil, err
 	}
-	thrEval := core.EvaluateSamples(baselines.ThresholdDetector{}, testS)
+	thrEval := core.EvaluateSamples(baselines.ThresholdDetector{}, testS.Materialize())
 	res.Rows = append(res.Rows, MetricRow{
 		Name:      "SMART-threshold",
 		TPR:       thrEval.TPR(),
@@ -101,11 +100,11 @@ func (c *Context) Fig18() (*Fig18Result, error) {
 	// The learned baselines share MFPA's preprocessing but keep their
 	// original feature families and algorithms.
 	for _, b := range baselines.All() {
-		train, test, pb, err := c.Split(primaryVendor, b.Group)
+		train, test, pb, err := c.SplitSet(primaryVendor, b.Group)
 		if err != nil {
 			return nil, err
 		}
-		trainUS, err := sampling.UnderSample(train, pb.Config.NegativeRatio, pb.Config.Seed)
+		trainUS, err := sampling.UnderSample(train.Materialize(), pb.Config.NegativeRatio, pb.Config.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -113,7 +112,7 @@ func (c *Context) Fig18() (*Fig18Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: baseline %s: %w", b.Name, err)
 		}
-		ev := core.EvaluateSamples(clf, test)
+		ev := core.EvaluateSamples(clf, test.Materialize())
 		res.Rows = append(res.Rows, MetricRow{
 			Name:      b.Name,
 			TPR:       ev.TPR(),
@@ -157,8 +156,7 @@ type Fig19Result struct {
 // Fig19 trains the standard model and probes positives at increasing
 // distance from failure.
 func (c *Context) Fig19() (*Fig19Result, error) {
-	cfg := c.PipelineConfig(primaryVendor, features.GroupSFWB)
-	p, err := core.Prepare(c.Fleet.Data, c.Fleet.Tickets, cfg)
+	p, err := c.Prepared(primaryVendor, features.GroupSFWB)
 	if err != nil {
 		return nil, err
 	}
@@ -168,7 +166,7 @@ func (c *Context) Fig19() (*Fig19Result, error) {
 	}
 	res := &Fig19Result{}
 	for n := 1; n <= 21; n += 2 {
-		pos := features.PositiveSamplesAt(p.Data, p.Labels, p.Extractor, n, 1)
+		pos := features.PositiveSamplesAt(p.Frame, p.Labels, p.Extractor, n, 1)
 		// Only failures after the learning window are fair probes.
 		var test []float64
 		flagged := 0

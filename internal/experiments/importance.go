@@ -24,11 +24,11 @@ type ImportanceResult struct {
 
 // Importance trains the standard forest on vendor I and ranks features.
 func (c *Context) Importance() (*ImportanceResult, error) {
-	train, _, p, err := c.Split(primaryVendor, features.GroupSFWB)
+	trainView, _, p, err := c.SplitSet(primaryVendor, features.GroupSFWB)
 	if err != nil {
 		return nil, err
 	}
-	train, err = sampling.UnderSample(train, p.Config.NegativeRatio, p.Config.Seed)
+	train, err := sampling.UnderSample(trainView.Materialize(), p.Config.NegativeRatio, p.Config.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package features
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/dataset"
 	"repro/internal/labeling"
@@ -36,33 +37,6 @@ func DefaultBuildOptions() BuildOptions {
 	return BuildOptions{PositiveWindowDays: 7, ExclusionDays: 7}
 }
 
-// BuildSamples constructs flat per-record samples from a cumulated,
-// cleaned dataset and its failure labels. Extraction fans out across
-// opts.Workers goroutines (0 = GOMAXPROCS, 1 = serial); per-drive
-// sample slices are concatenated in dataset order, so the output is
-// identical at any worker count.
-func BuildSamples(data *dataset.Dataset, labels labeling.Labels, e *Extractor, opts BuildOptions) ([]ml.Sample, error) {
-	if opts.PositiveWindowDays < 1 {
-		return nil, fmt.Errorf("features: PositiveWindowDays %d must be ≥ 1", opts.PositiveWindowDays)
-	}
-	// Register every firmware version serially before fanning out, so
-	// Extract performs only reads on the shared extractor.
-	e.prime(data)
-	sns := data.SerialNumbers()
-	perDrive, err := parallel.Map(len(sns), opts.Workers, func(i int) ([]ml.Sample, error) {
-		s, _ := data.Series(sns[i])
-		return buildDriveSamples(s, labels, e, &opts), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	samples := concatSamples(perDrive)
-	if len(samples) == 0 {
-		return nil, fmt.Errorf("features: no samples produced")
-	}
-	return samples, nil
-}
-
 // rowLabel applies the labelling rules of BuildOptions to one record
 // of a drive: the returned label is valid only when keep is true —
 // dropped records are post-failure stragglers, guard-band rows, and
@@ -82,28 +56,34 @@ func rowLabel(faulty bool, failDay, day int, opts *BuildOptions) (y int8, keep b
 	}
 }
 
-// BuildSampleSet is BuildSamples in columnar form: it extracts the
-// fleet directly into one flat feature arena and returns the shared
-// ml.SampleSet that the zero-copy view pipeline — splits,
-// under-sampling, CV folds, grid search, feature selection — operates
-// on. Construction is two-pass: a cheap labelling pass counts each
-// drive's surviving rows, then every drive extracts straight into its
-// pre-computed arena segment in parallel — no per-row vector
-// allocations, no per-drive chunk buffers, no concatenation copy. Row
-// content and order are identical to BuildSamples at any worker count.
-func BuildSampleSet(data *dataset.Dataset, labels labeling.Labels, e *Extractor, opts BuildOptions) (*ml.SampleSet, error) {
+// BuildSeqSamples constructs sequence samples for the CNN_LSTM: sliding
+// windows of seqLen consecutive *rows* per drive, flattened time-major
+// (X[t*width+f]). A window is labelled by its final row under the
+// BuildOptions rules. Because consumer telemetry is discontinuous, the
+// rows inside a window may span far more calendar days than seqLen —
+// exactly the data-quality hazard the paper blames for CNN_LSTM's
+// weaker results.
+//
+// Each drive's rows are extracted once into a drive arena, and every
+// window's X is a capped subslice of it (consecutive time-major rows
+// are contiguous), so overlapping windows share feature data. Sample
+// order is drive order, then end row; the output is identical at any
+// worker count.
+func BuildSeqSamples(f *dataset.Frame, labels labeling.Labels, e *Extractor, seqLen int, opts BuildOptions) ([]ml.Sample, error) {
+	if seqLen < 1 {
+		return nil, fmt.Errorf("features: seqLen %d must be ≥ 1", seqLen)
+	}
 	if opts.PositiveWindowDays < 1 {
 		return nil, fmt.Errorf("features: PositiveWindowDays %d must be ≥ 1", opts.PositiveWindowDays)
 	}
-	e.prime(data)
+	e.primeFrame(f)
 	width := e.Width()
-	sns := data.SerialNumbers()
-	counts, err := parallel.Map(len(sns), opts.Workers, func(i int) (int, error) {
-		s, _ := data.Series(sns[i])
-		label, faulty := labels[s.SerialNumber]
+	counts, err := parallel.Map(f.Drives(), opts.Workers, func(i int) (int, error) {
+		d := f.Drive(i)
+		label, faulty := labels[d.SerialNumber]
 		n := 0
-		for j := range s.Records {
-			if _, keep := rowLabel(faulty, label.FailDay, s.Records[j].Day, &opts); keep {
+		for r := int(d.Start) + seqLen - 1; r < int(d.End); r++ {
+			if _, keep := rowLabel(faulty, label.FailDay, int(f.Day(r)), &opts); keep {
 				n++
 			}
 		}
@@ -112,192 +92,90 @@ func BuildSampleSet(data *dataset.Dataset, labels labeling.Labels, e *Extractor,
 	if err != nil {
 		return nil, err
 	}
-	offs := make([]int, len(sns)+1)
+	offs := make([]int, f.Drives()+1)
 	for i, c := range counts {
 		offs[i+1] = offs[i] + c
 	}
-	total := offs[len(sns)]
-	if total == 0 {
-		return nil, fmt.Errorf("features: no samples produced")
+	if offs[f.Drives()] == 0 {
+		return nil, fmt.Errorf("features: no sequence samples produced")
 	}
-	x := make([]float64, total*width)
-	y := make([]int8, total)
-	day := make([]int32, total)
-	sn := make([]string, total)
-	if err := parallel.Do(len(sns), opts.Workers, func(i int) error {
-		s, _ := data.Series(sns[i])
-		label, faulty := labels[s.SerialNumber]
-		lo, hi := offs[i], offs[i+1]
-		xseg := x[lo*width : lo*width : hi*width]
-		j := lo
-		for k := range s.Records {
-			r := &s.Records[k]
-			yk, keep := rowLabel(faulty, label.FailDay, r.Day, &opts)
+	samples := make([]ml.Sample, offs[f.Drives()])
+	if err := parallel.Do(f.Drives(), opts.Workers, func(i int) error {
+		if offs[i] == offs[i+1] {
+			return nil
+		}
+		d := f.Drive(i)
+		label, faulty := labels[d.SerialNumber]
+		rows := make([]float64, d.Rows()*width)
+		fw := e.newFWCache(d.Vendor)
+		for k := 0; k < d.Rows(); k++ {
+			e.frameRow(f, int(d.Start)+k, fw, rows[k*width:(k+1)*width])
+		}
+		j := offs[i]
+		for end := seqLen - 1; end < d.Rows(); end++ {
+			day := int(f.Day(int(d.Start) + end))
+			y, keep := rowLabel(faulty, label.FailDay, day, &opts)
 			if !keep {
 				continue
 			}
-			xseg = e.ExtractInto(r, xseg)
-			y[j] = yk
-			day[j] = int32(r.Day)
-			sn[j] = s.SerialNumber
+			lo, hi := (end-seqLen+1)*width, (end+1)*width
+			samples[j] = ml.Sample{X: rows[lo:hi:hi], Y: int(y), SN: d.SerialNumber, Day: day}
 			j++
 		}
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	return ml.NewSampleSet(width, x, y, day, sn)
-}
-
-// buildDriveSamples labels and extracts one drive's records.
-func buildDriveSamples(s *dataset.DriveSeries, labels labeling.Labels, e *Extractor, opts *BuildOptions) []ml.Sample {
-	label, faulty := labels[s.SerialNumber]
-	samples := make([]ml.Sample, 0, len(s.Records))
-	for i := range s.Records {
-		r := &s.Records[i]
-		var y int
-		switch {
-		case !faulty:
-			y = 0
-		case r.Day > label.FailDay:
-			// Post-failure stragglers (possible when the labelled
-			// day precedes the last log) are not trustworthy.
-			continue
-		case r.Day > label.FailDay-opts.PositiveWindowDays:
-			y = 1
-		case r.Day > label.FailDay-opts.PositiveWindowDays-opts.ExclusionDays:
-			continue // guard band
-		default:
-			if !opts.NegativeFromFaulty {
-				continue
-			}
-			y = 0
-		}
-		samples = append(samples, ml.Sample{
-			X:   e.Extract(r),
-			Y:   y,
-			SN:  s.SerialNumber,
-			Day: r.Day,
-		})
-	}
-	return samples
-}
-
-// concatSamples flattens per-drive sample slices with one exact-sized
-// allocation.
-func concatSamples(perDrive [][]ml.Sample) []ml.Sample {
-	total := 0
-	for _, p := range perDrive {
-		total += len(p)
-	}
-	samples := make([]ml.Sample, 0, total)
-	for _, p := range perDrive {
-		samples = append(samples, p...)
-	}
-	return samples
-}
-
-// BuildSeqSamples constructs sequence samples for the CNN_LSTM: sliding
-// windows of seqLen consecutive *records* per drive, flattened
-// time-major (X[t*width+f]). A window is positive when its final record
-// falls in the positive window. Because consumer telemetry is
-// discontinuous, the records inside a window may span far more calendar
-// days than seqLen — exactly the data-quality hazard the paper blames
-// for CNN_LSTM's weaker results.
-func BuildSeqSamples(data *dataset.Dataset, labels labeling.Labels, e *Extractor, seqLen int, opts BuildOptions) ([]ml.Sample, error) {
-	if seqLen < 1 {
-		return nil, fmt.Errorf("features: seqLen %d must be ≥ 1", seqLen)
-	}
-	if opts.PositiveWindowDays < 1 {
-		return nil, fmt.Errorf("features: PositiveWindowDays %d must be ≥ 1", opts.PositiveWindowDays)
-	}
-	e.prime(data)
-	width := e.Width()
-	sns := data.SerialNumbers()
-	perDrive, err := parallel.Map(len(sns), opts.Workers, func(di int) ([]ml.Sample, error) {
-		s, _ := data.Series(sns[di])
-		if len(s.Records) < seqLen {
-			return nil, nil
-		}
-		label, faulty := labels[s.SerialNumber]
-		vecs := make([][]float64, len(s.Records))
-		for i := range s.Records {
-			vecs[i] = e.Extract(&s.Records[i])
-		}
-		samples := make([]ml.Sample, 0, len(s.Records)-seqLen+1)
-		for end := seqLen - 1; end < len(s.Records); end++ {
-			last := &s.Records[end]
-			var y int
-			switch {
-			case !faulty:
-				y = 0
-			case last.Day > label.FailDay:
-				continue
-			case last.Day > label.FailDay-opts.PositiveWindowDays:
-				y = 1
-			case last.Day > label.FailDay-opts.PositiveWindowDays-opts.ExclusionDays:
-				continue
-			default:
-				if !opts.NegativeFromFaulty {
-					continue
-				}
-				y = 0
-			}
-			x := make([]float64, seqLen*width)
-			for t := 0; t < seqLen; t++ {
-				copy(x[t*width:(t+1)*width], vecs[end-seqLen+1+t])
-			}
-			samples = append(samples, ml.Sample{
-				X:   x,
-				Y:   y,
-				SN:  s.SerialNumber,
-				Day: last.Day,
-			})
-		}
-		return samples, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	samples := concatSamples(perDrive)
-	if len(samples) == 0 {
-		return nil, fmt.Errorf("features: no sequence samples produced")
-	}
 	return samples, nil
 }
 
-// PositiveSamplesAt extracts one evaluation sample per faulty drive at
-// exactly lookahead days before its labelled failure (nearest record
-// within ±tolerance days). Used by the Fig. 19 lookahead sweep: can the
-// model already see the failure N days out?
-func PositiveSamplesAt(data *dataset.Dataset, labels labeling.Labels, e *Extractor, lookahead, tolerance int) []ml.Sample {
+// PositiveSamplesAt extracts one evaluation sample per labelled drive of
+// f at exactly lookahead days before its labelled failure (nearest row
+// within ±tolerance days, earlier day winning ties). Used by the
+// Fig. 19 lookahead sweep: can the model already see the failure N
+// days out? Samples follow f's drive order.
+func PositiveSamplesAt(f *dataset.Frame, labels labeling.Labels, e *Extractor, lookahead, tolerance int) []ml.Sample {
+	e.primeFrame(f)
 	var samples []ml.Sample
-	for sn, label := range labels {
-		series, ok := data.Series(sn)
-		if !ok {
+	for i := 0; i < f.Drives(); i++ {
+		d := f.Drive(i)
+		label, ok := labels[d.SerialNumber]
+		if !ok || d.Rows() == 0 {
 			continue
 		}
 		target := label.FailDay - lookahead
 		if target < 0 {
 			continue
 		}
-		rec, ok := series.Closest(target)
-		if !ok {
-			continue
-		}
-		diff := rec.Day - target
+		r := closestRow(f, d, target)
+		day := int(f.Day(r))
+		diff := day - target
 		if diff < 0 {
 			diff = -diff
 		}
-		if diff > tolerance || rec.Day > label.FailDay {
+		if diff > tolerance || day > label.FailDay {
 			continue
 		}
-		samples = append(samples, ml.Sample{
-			X:   e.Extract(rec),
-			Y:   1,
-			SN:  sn,
-			Day: rec.Day,
-		})
+		x := make([]float64, e.Width())
+		e.frameRow(f, r, e.newFWCache(d.Vendor), x)
+		samples = append(samples, ml.Sample{X: x, Y: 1, SN: d.SerialNumber, Day: day})
 	}
 	return samples
+}
+
+// closestRow returns the row of drive d whose day is nearest to target
+// (earlier wins ties). d must have at least one row.
+func closestRow(f *dataset.Frame, d *dataset.FrameDrive, target int) int {
+	lo, hi := int(d.Start), int(d.End)
+	i := lo + sort.Search(hi-lo, func(k int) bool { return int(f.Day(lo+k)) >= target })
+	switch {
+	case i == lo:
+		return lo
+	case i == hi:
+		return hi - 1
+	}
+	if target-int(f.Day(i-1)) <= int(f.Day(i))-target {
+		return i - 1
+	}
+	return i
 }

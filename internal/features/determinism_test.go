@@ -46,40 +46,12 @@ func fleetFixture(t *testing.T, drives int) (*dataset.Dataset, labeling.Labels, 
 	return d, labels, e
 }
 
-// TestBuildSamplesWorkersIdentical asserts the per-drive extraction
-// fan-out is bit-identical to serial, including the first-seen
-// firmware codes that the priming pass fixes in dataset order.
-func TestBuildSamplesWorkersIdentical(t *testing.T) {
-	d, labels, _ := fleetFixture(t, 30)
-	opts := DefaultBuildOptions()
-	opts.Workers = 1
-	serialExt, err := NewExtractor(GroupSFWB, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := BuildSamples(d, labels, serialExt, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{0, 2, 3, 8} {
-		e, err := NewExtractor(GroupSFWB, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.Workers = w
-		got, err := BuildSamples(d, labels, e, opts)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: samples differ from serial build", w)
-		}
-	}
-}
-
-// TestBuildSeqSamplesWorkersIdentical is the sequence-shaped variant.
+// TestBuildSeqSamplesWorkersIdentical asserts the per-drive sequence
+// build is identical at every worker count, including the first-seen
+// firmware codes that the priming pass fixes in frame order.
 func TestBuildSeqSamplesWorkersIdentical(t *testing.T) {
 	d, labels, _ := fleetFixture(t, 20)
+	f := frameOf(t, d)
 	opts := DefaultBuildOptions()
 	opts.Workers = 1
 	serialExt, err := NewExtractor(GroupSFWB, nil)
@@ -87,7 +59,7 @@ func TestBuildSeqSamplesWorkersIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	const seqLen = 4
-	want, err := BuildSeqSamples(d, labels, serialExt, seqLen, opts)
+	want, err := BuildSeqSamples(f, labels, serialExt, seqLen, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +69,7 @@ func TestBuildSeqSamplesWorkersIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts.Workers = w
-		got, err := BuildSeqSamples(d, labels, e, seqLen, opts)
+		got, err := BuildSeqSamples(f, labels, e, seqLen, opts)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}

@@ -25,10 +25,8 @@ type Extractor struct {
 	// vector, so the frame builder gathers W features straight from a
 	// column row without ID lookups.
 	wIdx []int
-	// primedFor remembers the last dataset primed, so repeated builds
-	// over the same prepared dataset skip the full firmware re-scan.
-	primedFor *dataset.Dataset
-	// primedForFrame is primedFor for the columnar build path.
+	// primedForFrame remembers the last frame primed, so repeated builds
+	// over the same prepared frame skip the full firmware re-scan.
 	primedForFrame *dataset.Frame
 }
 
@@ -101,35 +99,15 @@ func (e *Extractor) encoder(vendor string) *firmware.Encoder {
 	return enc
 }
 
-// prime registers every (vendor, firmware version) pair of data with
-// the extractor's encoders, visiting records in dataset order. After
-// priming, Extract performs only reads on the extractor, so the batch
-// builders can fan extraction out across goroutines; it also fixes the
-// first-seen-order codes of registry-unknown versions to dataset order
+// primeFrame registers every (vendor, firmware version) pair of f with
+// the extractor's encoders, in drive-then-row order. After priming,
+// extraction performs only reads on the extractor, so the batch
+// builders can fan it out across goroutines; it also fixes the
+// first-seen-order codes of registry-unknown versions to frame order
 // rather than extraction order, keeping the encoding independent of
-// scheduling. No-op for groups without the firmware feature.
-func (e *Extractor) prime(data *dataset.Dataset) {
-	if !e.group.Firmware {
-		return
-	}
-	if e.primedFor == data {
-		// Priming is idempotent; skipping the re-scan is safe as long as
-		// the dataset is not mutated between builds (Prepare freezes it).
-		return
-	}
-	data.Each(func(s *dataset.DriveSeries) {
-		for i := range s.Records {
-			e.encoder(s.Records[i].Vendor).Encode(s.Records[i].Firmware)
-		}
-	})
-	e.primedFor = data
-}
-
-// primeFrame is prime for the columnar path: it registers firmware
-// versions in the same drive-then-row order the dataset scan uses, so
-// registry-unknown versions get identical first-seen codes. Rows with
-// an unchanged interned firmware code are skipped — encoding is
-// per-version, so only code changes matter.
+// scheduling. Rows with an unchanged interned firmware code are skipped
+// — encoding is per-version, so only code changes matter. No-op for
+// groups without the firmware feature.
 func (e *Extractor) primeFrame(f *dataset.Frame) {
 	if !e.group.Firmware {
 		return
@@ -202,18 +180,12 @@ func (e *Extractor) appendCumRow(vendor string, smart []float64, fw firmware.Ver
 	return dst
 }
 
-// Extract builds the feature vector of r. The W and B counters are used
-// as stored — run dataset.Cumulate first to follow the paper's
-// accumulated-count preprocessing.
+// Extract builds the feature vector of one record. The W and B
+// counters are used as stored: pass a record of a prepared
+// (cumulated) series to follow the paper's accumulated-count
+// preprocessing.
 func (e *Extractor) Extract(r *dataset.Record) []float64 {
-	return e.ExtractInto(r, make([]float64, 0, e.Width()))
-}
-
-// ExtractInto appends r's feature vector to dst and returns the
-// extended slice — the allocation-free primitive behind the columnar
-// sample arena: BuildSampleSet extracts whole drives into one chunk
-// instead of one heap vector per record.
-func (e *Extractor) ExtractInto(r *dataset.Record, dst []float64) []float64 {
+	dst := make([]float64, 0, e.Width())
 	if e.group.SMART {
 		dst = append(dst, r.Smart[:]...)
 	}

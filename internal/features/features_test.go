@@ -218,9 +218,9 @@ func TestMask(t *testing.T) {
 	}
 }
 
-// buildFixture builds a small labelled dataset: one faulty drive (fails
+// buildFixture builds a small labelled frame: one faulty drive (fails
 // day 20) and one healthy drive, observed daily over days 0..20.
-func buildFixture(t *testing.T) (*dataset.Dataset, labeling.Labels, *Extractor) {
+func buildFixture(t *testing.T) (*dataset.Frame, labeling.Labels, *Extractor) {
 	t.Helper()
 	d := dataset.New()
 	for _, sn := range []string{"faulty", "healthy"} {
@@ -240,13 +240,22 @@ func buildFixture(t *testing.T) (*dataset.Dataset, labeling.Labels, *Extractor) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, labels, e
+	return frameOf(t, d), labels, e
+}
+
+// buildSamples is the fixture's flat sample set in slice form.
+func buildSamples(f *dataset.Frame, labels labeling.Labels, e *Extractor, opts BuildOptions) ([]ml.Sample, error) {
+	set, err := BuildSampleSetFrame(f, labels, e, opts)
+	if err != nil {
+		return nil, err
+	}
+	return set.All().Materialize(), nil
 }
 
 func TestBuildSamplesLabels(t *testing.T) {
-	d, labels, e := buildFixture(t)
+	f, labels, e := buildFixture(t)
 	opts := BuildOptions{PositiveWindowDays: 7, ExclusionDays: 7}
-	samples, err := BuildSamples(d, labels, e, opts)
+	samples, err := buildSamples(f, labels, e, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,9 +291,9 @@ func TestBuildSamplesLabels(t *testing.T) {
 }
 
 func TestBuildSamplesNegativeFromFaulty(t *testing.T) {
-	d, labels, e := buildFixture(t)
+	f, labels, e := buildFixture(t)
 	opts := BuildOptions{PositiveWindowDays: 7, ExclusionDays: 7, NegativeFromFaulty: true}
-	samples, err := BuildSamples(d, labels, e, opts)
+	samples, err := buildSamples(f, labels, e, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,17 +313,23 @@ func TestBuildSamplesNegativeFromFaulty(t *testing.T) {
 }
 
 func TestBuildSamplesValidation(t *testing.T) {
-	d, labels, e := buildFixture(t)
-	if _, err := BuildSamples(d, labels, e, BuildOptions{}); err == nil {
+	f, labels, e := buildFixture(t)
+	if _, err := BuildSampleSetFrame(f, labels, e, BuildOptions{}); err == nil {
 		t.Fatal("zero positive window accepted")
+	}
+	if _, err := BuildSeqSamples(f, labels, e, 3, BuildOptions{}); err == nil {
+		t.Fatal("zero positive window accepted for sequences")
+	}
+	if _, err := BuildSeqSamples(f, labels, e, 0, DefaultBuildOptions()); err == nil {
+		t.Fatal("zero sequence length accepted")
 	}
 }
 
 func TestBuildSeqSamplesShape(t *testing.T) {
-	d, labels, e := buildFixture(t)
+	f, labels, e := buildFixture(t)
 	opts := BuildOptions{PositiveWindowDays: 7, ExclusionDays: 7}
 	const seqLen = 3
-	samples, err := BuildSeqSamples(d, labels, e, seqLen, opts)
+	samples, err := BuildSeqSamples(f, labels, e, seqLen, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,9 +353,9 @@ func TestBuildSeqSamplesShape(t *testing.T) {
 }
 
 func TestPositiveSamplesAt(t *testing.T) {
-	d, labels, e := buildFixture(t)
+	f, labels, e := buildFixture(t)
 	// 5 days before the day-20 failure → day 15 record.
-	pos := PositiveSamplesAt(d, labels, e, 5, 1)
+	pos := PositiveSamplesAt(f, labels, e, 5, 1)
 	if len(pos) != 1 {
 		t.Fatalf("probes = %d, want 1", len(pos))
 	}
@@ -348,7 +363,7 @@ func TestPositiveSamplesAt(t *testing.T) {
 		t.Fatalf("probe = %+v", pos[0])
 	}
 	// A lookahead beyond the telemetry start yields nothing.
-	if got := PositiveSamplesAt(d, labels, e, 50, 1); len(got) != 0 {
+	if got := PositiveSamplesAt(f, labels, e, 50, 1); len(got) != 0 {
 		t.Fatalf("impossible lookahead produced %d probes", len(got))
 	}
 }

@@ -4,17 +4,22 @@ import (
 	"fmt"
 
 	"repro/internal/dataset"
+	"repro/internal/firmware"
 	"repro/internal/labeling"
 	"repro/internal/ml"
 	"repro/internal/parallel"
 )
 
-// BuildSampleSetFrame is BuildSampleSet reading straight from the
-// columnar frame — the final stage of the fused pipeline. Labelling
-// walks the day column, feature extraction copies or gathers column
-// rows into the sample arena, and firmware encoding is looked up only
-// when a drive's interned code changes. Row content and order are
-// bit-identical to BuildSampleSet on the equivalent dataset at any
+// BuildSampleSetFrame extracts the flat labelled samples of a prepared
+// frame into one columnar ml.SampleSet — the arena that the zero-copy
+// view pipeline (splits, under-sampling, CV folds, grid search, feature
+// selection) operates on. Construction is two-pass: a labelling pass
+// over the day column counts each drive's surviving rows, then every
+// drive extracts straight into its pre-computed arena segment in
+// parallel — no per-row vector allocations and no concatenation copy.
+// Feature extraction copies or gathers column rows, and firmware
+// encoding is looked up only when a drive's interned code changes. Row
+// content and order (drive order, then day) are identical at any
 // worker count.
 func BuildSampleSetFrame(f *dataset.Frame, labels labeling.Labels, e *Extractor, opts BuildOptions) (*ml.SampleSet, error) {
 	if opts.PositiveWindowDays < 1 {
@@ -48,22 +53,10 @@ func BuildSampleSetFrame(f *dataset.Frame, labels labeling.Labels, e *Extractor,
 	y := make([]int8, total)
 	day := make([]int32, total)
 	sn := make([]string, total)
-	g := e.group
 	if err := parallel.Do(f.Drives(), opts.Workers, func(i int) error {
 		d := f.Drive(i)
 		label, faulty := labels[d.SerialNumber]
-		var enc func(id int32) float64
-		if g.Firmware {
-			venc := e.encoder(d.Vendor)
-			lastID, lastCode := int32(-1), 0.0
-			enc = func(id int32) float64 {
-				if id != lastID {
-					lastCode = venc.Encode(f.FirmwareByID(id))
-					lastID = id
-				}
-				return lastCode
-			}
-		}
+		fw := e.newFWCache(d.Vendor)
 		j := offs[i]
 		for r := int(d.Start); r < int(d.End); r++ {
 			rd := int(f.Day(r))
@@ -71,32 +64,7 @@ func BuildSampleSetFrame(f *dataset.Frame, labels labeling.Labels, e *Extractor,
 			if !keep {
 				continue
 			}
-			row := x[j*width : (j+1)*width]
-			k := 0
-			if g.SMART {
-				k += copy(row[k:], f.SmartRow(r))
-			}
-			if g.Firmware {
-				row[k] = enc(f.FirmwareID(r))
-				k++
-			}
-			if g.WEvents {
-				w := f.WRow(r)
-				for _, idx := range e.wIdx {
-					row[k] = w[idx]
-					k++
-				}
-			}
-			if g.BSOD {
-				b := f.BRow(r)
-				k += copy(row[k:], b)
-				// Same index-order summation as Counts.Total.
-				tot := 0.0
-				for _, v := range b {
-					tot += v
-				}
-				row[k] = tot
-			}
+			e.frameRow(f, r, fw, x[j*width:(j+1)*width])
 			y[j] = yk
 			day[j] = int32(rd)
 			sn[j] = d.SerialNumber
@@ -107,4 +75,56 @@ func BuildSampleSetFrame(f *dataset.Frame, labels labeling.Labels, e *Extractor,
 		return nil, err
 	}
 	return ml.NewSampleSet(width, x, y, day, sn)
+}
+
+// fwCache memoises one drive's firmware feature: the encoder is looked
+// up only when the drive's interned firmware id changes. It is nil for
+// groups without the firmware feature.
+type fwCache struct {
+	enc  *firmware.Encoder
+	id   int32
+	code float64
+}
+
+func (e *Extractor) newFWCache(vendor string) *fwCache {
+	if !e.group.Firmware {
+		return nil
+	}
+	return &fwCache{enc: e.encoder(vendor), id: -1}
+}
+
+// frameRow writes the feature vector of frame row r into row (e.Width()
+// long). fw must come from newFWCache for the row's drive; after
+// priming, frameRow only reads the extractor.
+func (e *Extractor) frameRow(f *dataset.Frame, r int, fw *fwCache, row []float64) {
+	g := e.group
+	k := 0
+	if g.SMART {
+		k += copy(row[k:], f.SmartRow(r))
+	}
+	if g.Firmware {
+		if id := f.FirmwareID(r); id != fw.id {
+			fw.code = fw.enc.Encode(f.FirmwareByID(id))
+			fw.id = id
+		}
+		row[k] = fw.code
+		k++
+	}
+	if g.WEvents {
+		w := f.WRow(r)
+		for _, idx := range e.wIdx {
+			row[k] = w[idx]
+			k++
+		}
+	}
+	if g.BSOD {
+		b := f.BRow(r)
+		k += copy(row[k:], b)
+		// Same index-order summation as Counts.Total.
+		tot := 0.0
+		for _, v := range b {
+			tot += v
+		}
+		row[k] = tot
+	}
 }

@@ -31,8 +31,8 @@ func requireSetsEqualBits(t *testing.T, want, got *ml.SampleSet) {
 }
 
 // TestBuildSampleSetFrameMatchesRecordPath pins the frame extractor to
-// the record path for every feature group, including the first-seen
-// firmware encoding that priming fixes in dataset order.
+// the record-form oracle for every feature group, including the
+// first-seen firmware encoding that priming fixes in dataset order.
 func TestBuildSampleSetFrameMatchesRecordPath(t *testing.T) {
 	d, labels, _ := fleetFixture(t, 25)
 	f, err := dataset.FrameFromDataset(d)
@@ -45,7 +45,7 @@ func TestBuildSampleSetFrameMatchesRecordPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := BuildSampleSet(d, labels, recExt, opts)
+		want, err := buildSampleSetRecords(d, labels, recExt, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

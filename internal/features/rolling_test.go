@@ -81,17 +81,12 @@ type refRow struct {
 	x      []float64
 }
 
-// offlineRows runs the full offline preprocessing — clean, cumulate,
-// extract — and returns each surviving drive's feature rows.
+// offlineRows runs the full offline preprocessing — the fused
+// clean+cumulate pipeline, then per-record extraction — and returns
+// each surviving drive's feature rows.
 func offlineRows(t *testing.T, raw *dataset.Dataset, policy dataset.GapPolicy, e *Extractor, workers int) map[string][]refRow {
 	t.Helper()
-	cleaned, _, err := dataset.CleanDiscontinuityWorkers(raw, policy, workers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dataset.Cumulate(cleaned); err != nil {
-		t.Fatal(err)
-	}
+	cleaned := preparedRecords(t, raw, dataset.PipelineOptions{Policy: policy, Workers: workers})
 	out := make(map[string][]refRow)
 	cleaned.Each(func(s *dataset.DriveSeries) {
 		rows := make([]refRow, 0, len(s.Records))
@@ -102,6 +97,27 @@ func offlineRows(t *testing.T, raw *dataset.Dataset, policy dataset.GapPolicy, e
 		out[s.SerialNumber] = rows
 	})
 	return out
+}
+
+// frameOf converts a test dataset to a frame, failing on error.
+func frameOf(t *testing.T, d *dataset.Dataset) *dataset.Frame {
+	t.Helper()
+	f, err := dataset.FrameFromDataset(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// preparedRecords runs PreparePipeline over raw and returns the result
+// in record form.
+func preparedRecords(t *testing.T, raw *dataset.Dataset, opts dataset.PipelineOptions) *dataset.Dataset {
+	t.Helper()
+	out, _, err := dataset.PreparePipeline(frameOf(t, raw), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.ToDataset()
 }
 
 func bitsEqual(a, b []float64) bool {
@@ -119,8 +135,7 @@ func bitsEqual(a, b []float64) bool {
 // TestRollingAdvanceMatchesOfflinePipeline is the incremental-vs-
 // offline equivalence property: over varied seeds (and offline worker
 // counts), Advance over each drive's raw records emits exactly the
-// feature rows the CleanDiscontinuity→Cumulate→Extract pipeline
-// produces, bit-identical via math.Float64bits, and agrees on which
+// feature rows the PreparePipeline→Extract pipeline produces, bit-identical via math.Float64bits, and agrees on which
 // drives the gap policy drops.
 func TestRollingAdvanceMatchesOfflinePipeline(t *testing.T) {
 	policy := dataset.DefaultGapPolicy()
@@ -133,7 +148,7 @@ func TestRollingAdvanceMatchesOfflinePipeline(t *testing.T) {
 		// One extractor for both paths, primed on the raw dataset:
 		// after priming, extraction is read-only, and the first-seen
 		// firmware codes cannot depend on which path runs first.
-		ext.prime(raw)
+		ext.PrimeFrame(frameOf(t, raw))
 		workers := int(seed%2) + 1 // 1 or 2; offline output is pinned anyway
 		offline := offlineRows(t, raw, policy, ext, workers)
 
@@ -188,27 +203,16 @@ func TestRollingAdvanceMatchesOfflinePipeline(t *testing.T) {
 func TestRollingAdvanceRowMatchesBuildSampleSetFrame(t *testing.T) {
 	policy := dataset.DefaultGapPolicy()
 	raw := randomRawFleet(t, 7, 10)
-	rawFrame, err := dataset.FrameFromDataset(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rawFrame := frameOf(t, raw)
 	ext, err := NewExtractor(GroupSFWB, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ext.PrimeFrame(rawFrame)
 
-	// Offline fused path: clean+cumulate in record form, then the
-	// columnar sample build over all rows (empty labels keep every row
-	// as a negative).
-	cleaned, _, err := dataset.CleanDiscontinuity(raw, policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dataset.Cumulate(cleaned); err != nil {
-		t.Fatal(err)
-	}
-	cleanedFrame, err := dataset.FrameFromDataset(cleaned)
+	// Offline fused path: clean+cumulate, then the columnar sample
+	// build over all rows (empty labels keep every row as a negative).
+	cleanedFrame, _, err := dataset.PreparePipeline(rawFrame, dataset.PipelineOptions{Policy: policy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,18 +271,15 @@ func TestRollingAdvanceRowMatchesBuildSampleSetFrame(t *testing.T) {
 
 // TestRollingZeroPolicyIsPureCumulate pins the zero gap policy to the
 // original agent semantics: one row per record, cumulates matching
-// dataset.Cumulate with gaps ignored.
+// the cumulate-only pipeline with gaps ignored.
 func TestRollingZeroPolicyIsPureCumulate(t *testing.T) {
 	raw := randomRawFleet(t, 11, 6)
-	cum := raw.Clone()
-	if err := dataset.Cumulate(cum); err != nil {
-		t.Fatal(err)
-	}
+	cum := preparedRecords(t, raw, dataset.PipelineOptions{SkipClean: true})
 	ext, err := NewExtractor(GroupSFWB, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext.prime(raw)
+	ext.PrimeFrame(frameOf(t, raw))
 	raw.Each(func(s *dataset.DriveSeries) {
 		ref, _ := cum.Series(s.SerialNumber)
 		st := NewRollingState()
@@ -315,7 +316,7 @@ func TestRollingSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext.prime(raw)
+	ext.PrimeFrame(frameOf(t, raw))
 	raw.Each(func(s *dataset.DriveSeries) {
 		for _, cut := range []int{1, len(s.Records) / 2} {
 			if cut >= len(s.Records) {

@@ -137,9 +137,11 @@ func (s *Service) retryTransient(fn func() error) (retries int, err error) {
 func (s *Service) Train(data *dataset.Dataset, tickets *ticket.Store, vendor string, asOfDay int) (IterationRecord, error) {
 	cfg := s.template
 	cfg.Vendor = vendor
-	visible := data.Until(asOfDay)
-	knownTickets := tickets.Until(asOfDay)
-	model, report, err := core.TrainOnFleet(visible, knownTickets, cfg)
+	visible, err := dataset.FrameFromDataset(data.Filter(func(s *dataset.DriveSeries) bool { return s.Vendor == vendor }).Until(asOfDay))
+	if err != nil {
+		return IterationRecord{}, fmt.Errorf("fleetops: vendor %s at day %d: %w", vendor, asOfDay, err)
+	}
+	model, report, err := core.TrainOnFrame(visible, tickets.Until(asOfDay), cfg)
 	if err != nil {
 		return IterationRecord{}, fmt.Errorf("fleetops: vendor %s at day %d: %w", vendor, asOfDay, err)
 	}

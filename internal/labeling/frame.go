@@ -8,10 +8,12 @@ import (
 	"repro/internal/ticket"
 )
 
-// IdentifyFrame is Identify on the columnar data plane: the closest
-// tracking point is found by binary search on the drive's day column,
-// with the same earlier-wins tie rule as DriveSeries.Closest, so the
-// resulting labels match Identify on the equivalent dataset exactly.
+// IdentifyFrame resolves failure times for every ticketed drive present
+// in f. The tracking point closest to the earliest ticket's IMT (found
+// by binary search on the drive's day column, earlier day winning ties)
+// is the failure day when it lies within θ of the IMT; otherwise the
+// label falls back to IMT − θ, clamped at day 0. Ticketed drives with
+// no telemetry are skipped (they cannot contribute training samples).
 func IdentifyFrame(f *dataset.Frame, tickets *ticket.Store, theta int) (Labels, error) {
 	if theta < 0 {
 		return nil, fmt.Errorf("labeling: theta %d must be ≥ 0", theta)
@@ -34,8 +36,12 @@ func IdentifyFrame(f *dataset.Frame, tickets *ticket.Store, theta int) (Labels, 
 		}
 		label := Label{SerialNumber: sn, IMT: t.IMT, Interval: interval}
 		if interval <= theta {
+			// The tracking point closest to the IMT is the failure time.
 			label.FailDay = day
 		} else {
+			// Fall back to IMT − θ: the drive was certainly already
+			// degrading by then, and labelling any earlier would mix
+			// healthy-looking data into the positive class.
 			label.FailDay = t.IMT - theta
 			label.Fallback = true
 		}

@@ -39,7 +39,11 @@ func setup(t *testing.T) (*simfleet.Result, *core.Model, map[string]*firmware.Re
 		}
 		mcfg := core.DefaultConfig("I")
 		mcfg.Registries = regs
-		model, _, err := core.TrainOnFleet(fleet.Data, fleet.Tickets, mcfg)
+		frame, err := dataset.FrameFromDataset(fleet.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		model, _, err := core.TrainOnFrame(frame, fleet.Tickets, mcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,11 +258,11 @@ func TestReplayFrameBootstrapMatchesFromScratch(t *testing.T) {
 // TestReplayFrameRejectsCumulated pins the raw-frame contract.
 func TestReplayFrameRejectsCumulated(t *testing.T) {
 	fleet, model, regs := setup(t)
-	cum := fleet.Data.Clone()
-	if err := dataset.Cumulate(cum); err != nil {
+	raw, err := dataset.FrameFromDataset(fleet.Data)
+	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := dataset.FrameFromDataset(cum)
+	f, _, err := dataset.PreparePipeline(raw, dataset.PipelineOptions{SkipClean: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,11 +96,20 @@ func SimulateFleet(cfg FleetConfig) (*Fleet, error) { return simfleet.Simulate(c
 // Train runs the full MFPA pipeline (prepare + train + held-out
 // evaluation) on a fleet's telemetry and tickets.
 func Train(data *Dataset, tickets *TicketStore, cfg Config) (*Model, *TrainReport, error) {
-	return core.TrainOnFleet(data, tickets, cfg)
+	p, err := Prepare(data, tickets, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return core.Train(p)
 }
 
 // Prepare runs only the data stages, for callers who want to train
-// several models on one prepared dataset.
+// several models on one prepared dataset. The telemetry is converted
+// to the columnar frame the pipeline runs on.
 func Prepare(data *Dataset, tickets *TicketStore, cfg Config) (*core.Prepared, error) {
-	return core.Prepare(data, tickets, cfg)
+	f, err := dataset.FrameFromDataset(data)
+	if err != nil {
+		return nil, err
+	}
+	return core.PrepareFrame(f, tickets, cfg)
 }
