@@ -21,7 +21,7 @@ lint:
 	fi
 
 # race exercises every parallelised stage (the parallel engine, fleet
-# simulation, cleaning, the fused frame pipeline, the MFPAC block
+# simulation, the fused frame pipeline, the MFPAC block
 # codec, labelling, extraction, training, sampling views, the pipeline
 # front-end, search, the sharded serving engine, and the batched
 # agent) under the race detector; determinism tests double as ordering
@@ -52,15 +52,14 @@ BASELINE_ALLOCS ?= 34346
 # bench writes BENCH_train.json (training: histogram vs exact split
 # finding), BENCH_predict.json (scoring: flattened batch kernel vs the
 # per-row interface path), BENCH_search.json (bin-once SampleSet views
-# vs the per-candidate slice-copy representation), BENCH_pipeline.json
-# (columnar frame data plane vs the record path), BENCH_serve.json
+# vs the per-candidate slice-copy representation), BENCH_serve.json
 # (incremental sharded fleet scoring vs the full-replay seed serving
 # path), and BENCH_io.json (MFPAC binary telemetry container vs the
 # CSV compat format, gated on a bit-exact load equivalence check) via
 # cmd/mfpabench.
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./internal/parallel ./internal/simfleet ./internal/dataset ./internal/features ./internal/ml/search ./internal/ml/predict ./internal/ml/forest ./internal/ml/gbdt
-	$(GO) run ./cmd/mfpabench -out BENCH_train.json -predict-out BENCH_predict.json -search-out BENCH_search.json -pipeline-out BENCH_pipeline.json -serve-out BENCH_serve.json -io-out BENCH_io.json -benchtime 2s \
+	$(GO) run ./cmd/mfpabench -out BENCH_train.json -predict-out BENCH_predict.json -search-out BENCH_search.json -serve-out BENCH_serve.json -io-out BENCH_io.json -benchtime 2s \
 		-baseline-ref $(BASELINE_REF) -baseline-ns $(BASELINE_NS) \
 		-baseline-bytes $(BASELINE_BYTES) -baseline-allocs $(BASELINE_ALLOCS)
 

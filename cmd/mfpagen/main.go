@@ -63,8 +63,7 @@ func main() {
 		}
 	}
 
-	// The frame path writes telemetry straight from the simulation
-	// arena; the CSV bytes are identical to the record path's, and the
+	// Telemetry is written straight from the simulation arena; the
 	// MFPAC container encodes its blocks from the same slabs.
 	res, err := simfleet.SimulateFrame(cfg)
 	if err != nil {

@@ -102,8 +102,8 @@ func (f *Frame) Len() int { return f.length }
 // when drive ranges leave slack between them.
 func (f *Frame) ArenaRows() int { return len(f.day) }
 
-// Cumulated reports whether the W/B columns hold running totals (the
-// Cumulate marker of the record path, carried by the fused pipeline).
+// Cumulated reports whether the W/B columns hold running totals (set by
+// PreparePipeline's cumulate stage, which refuses to run twice).
 func (f *Frame) Cumulated() bool { return f.cumulated }
 
 // Day returns the observation day of row.

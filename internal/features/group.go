@@ -1,7 +1,8 @@
 // Package features implements MFPA's feature engineering: the SFWB
-// feature-group sets of Table V, vector extraction from telemetry
-// records, per-vendor firmware label encoding, standardisation, and the
-// construction of labelled training samples (flat and sequence-shaped).
+// feature-group sets of Table V, vector extraction from prepared
+// telemetry frames (and single records), per-vendor firmware label
+// encoding, standardisation, and the construction of labelled training
+// samples (flat and sequence-shaped).
 package features
 
 import "strings"

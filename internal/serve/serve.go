@@ -8,7 +8,7 @@
 // call (hitting the flattened batch kernel), and per-shard results are
 // merged back into input order deterministically. Feature rows and
 // scores are bit-identical to the offline
-// CleanDiscontinuity→Cumulate→extract pipeline at any worker or shard
+// PreparePipeline→BuildSampleSetFrame path at any worker or shard
 // count.
 //
 // Production telemetry is messy, so the scorer is fail-soft, not
