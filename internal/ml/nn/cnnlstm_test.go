@@ -21,7 +21,7 @@ func newTinyNet(seed int64) *Model {
 
 // bceLoss evaluates the network's binary cross-entropy on one sample.
 func bceLoss(m *Model, x []float64, y float64) float64 {
-	p := m.forward(x).prob
+	p := m.PredictProba(x)
 	p = math.Min(math.Max(p, 1e-12), 1-1e-12)
 	if y == 1 {
 		return -math.Log(p)
@@ -45,7 +45,7 @@ func TestGradientCheck(t *testing.T) {
 	for _, p := range m.params() {
 		p.zeroGrad()
 	}
-	m.backward(x, y)
+	m.backward(newWorkspace(&m.cfg), x, y)
 
 	params := m.params()
 	names := []string{"convW", "convB", "lstmW", "lstmB", "outW", "outB"}
@@ -77,7 +77,7 @@ func TestGradientCheckNegativeLabel(t *testing.T) {
 		x[i] = r.NormFloat64()
 	}
 	const eps = 1e-5
-	m.backward(x, 0)
+	m.backward(newWorkspace(&m.cfg), x, 0)
 	p := m.lstmW
 	for _, i := range []int{0, 7, len(p.w) / 2, len(p.w) - 1} {
 		orig := p.w[i]
@@ -149,6 +149,20 @@ func TestTrainerValidation(t *testing.T) {
 	if _, err := (&CNNLSTMTrainer{SeqLen: 2, Features: 2}).Train(nil); err == nil {
 		t.Error("empty set accepted")
 	}
+	for name, bad := range map[string]CNNLSTMTrainer{
+		"negative Filters":      {Filters: -1},
+		"negative Kernel":       {Kernel: -3},
+		"negative Hidden":       {Hidden: -2},
+		"negative Epochs":       {Epochs: -1},
+		"negative Batch":        {Batch: -4},
+		"negative LearningRate": {LearningRate: -1e-3},
+		"NaN LearningRate":      {LearningRate: math.NaN()},
+	} {
+		bad.SeqLen, bad.Features = 2, 2
+		if _, err := bad.Train(good); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
 }
 
 func TestPredictProbaBounds(t *testing.T) {
@@ -174,9 +188,10 @@ func TestAdamStepReducesLoss(t *testing.T) {
 		x[i] = r.NormFloat64()
 	}
 	opt := newAdam(1e-2)
+	ws := newWorkspace(&m.cfg)
 	before := bceLoss(m, x, 1)
 	for i := 0; i < 50; i++ {
-		m.backward(x, 1)
+		m.backward(ws, x, 1)
 		opt.update(m.params(), 1)
 	}
 	after := bceLoss(m, x, 1)
@@ -242,5 +257,20 @@ func TestImportRejectsCorrupt(t *testing.T) {
 	}
 	if _, err := Import(good); err == nil {
 		t.Error("zero scaler std accepted")
+	}
+	good.Std = []float64{1, 1}
+	if _, err := Import(good); err != nil {
+		t.Fatalf("valid model rejected: %v", err)
+	}
+	nanStd := good
+	nanStd.Std = []float64{1, math.NaN()}
+	if _, err := Import(nanStd); err == nil {
+		t.Error("NaN scaler std accepted")
+	}
+	infW := good
+	infW.LSTMW = make([]float64, len(good.LSTMW))
+	infW.LSTMW[3] = math.Inf(1)
+	if _, err := Import(infW); err == nil {
+		t.Error("+Inf LSTM weight accepted")
 	}
 }

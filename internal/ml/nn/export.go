@@ -1,6 +1,9 @@
 package nn
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Exported is the CNN_LSTM's serialisation form: the architecture
 // hyper-parameters, all weight tensors flattened, and the fitted input
@@ -39,25 +42,41 @@ func (m *Model) Export() Exported {
 	}
 }
 
-// Import reconstructs a CNN_LSTM from its serialisation form.
+// Import reconstructs a CNN_LSTM from its serialisation form. It
+// rejects wrong tensor sizes, NaN or infinite values in any tensor or
+// scaler column, and non-positive scaler stds.
 func Import(e Exported) (*Model, error) {
 	if e.SeqLen < 1 || e.Features < 1 || e.Filters < 1 || e.Kernel < 1 || e.Hidden < 1 {
 		return nil, fmt.Errorf("nn: invalid architecture %d/%d/%d/%d/%d",
 			e.SeqLen, e.Features, e.Filters, e.Kernel, e.Hidden)
 	}
-	wants := map[string][2]int{
-		"ConvW": {len(e.ConvW), e.Filters * e.Kernel * e.Features},
-		"ConvB": {len(e.ConvB), e.Filters},
-		"LSTMW": {len(e.LSTMW), 4 * e.Hidden * (e.Filters + e.Hidden)},
-		"LSTMB": {len(e.LSTMB), 4 * e.Hidden},
-		"OutW":  {len(e.OutW), e.Hidden},
-		"OutB":  {len(e.OutB), 1},
-		"Mean":  {len(e.Mean), e.Features},
-		"Std":   {len(e.Std), e.Features},
+	tensors := []struct {
+		name string
+		vals []float64
+		want int
+	}{
+		{"ConvW", e.ConvW, e.Filters * e.Kernel * e.Features},
+		{"ConvB", e.ConvB, e.Filters},
+		{"LSTMW", e.LSTMW, 4 * e.Hidden * (e.Filters + e.Hidden)},
+		{"LSTMB", e.LSTMB, 4 * e.Hidden},
+		{"OutW", e.OutW, e.Hidden},
+		{"OutB", e.OutB, 1},
+		{"Mean", e.Mean, e.Features},
+		{"Std", e.Std, e.Features},
 	}
-	for name, v := range wants {
-		if v[0] != v[1] {
-			return nil, fmt.Errorf("nn: %s has %d values, want %d", name, v[0], v[1])
+	for _, t := range tensors {
+		if len(t.vals) != t.want {
+			return nil, fmt.Errorf("nn: %s has %d values, want %d", t.name, len(t.vals), t.want)
+		}
+		for i, v := range t.vals {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("nn: non-finite %s[%d] = %v", t.name, i, v)
+			}
+		}
+	}
+	for i, s := range e.Std {
+		if s <= 0 {
+			return nil, fmt.Errorf("nn: non-positive scaler std at %d", i)
 		}
 	}
 	cfg := CNNLSTMTrainer{
@@ -74,11 +93,6 @@ func Import(e Exported) (*Model, error) {
 		outB:  paramFrom(e.OutB),
 		mean:  append([]float64(nil), e.Mean...),
 		std:   append([]float64(nil), e.Std...),
-	}
-	for i, s := range m.std {
-		if s <= 0 {
-			return nil, fmt.Errorf("nn: non-positive scaler std at %d", i)
-		}
 	}
 	return m, nil
 }
