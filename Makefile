@@ -49,17 +49,16 @@ BASELINE_NS     ?= 77893883
 BASELINE_BYTES  ?= 21106284
 BASELINE_ALLOCS ?= 34346
 
-# bench writes BENCH_train.json (training: histogram vs exact split
-# finding), BENCH_predict.json (scoring: flattened batch kernel vs the
-# per-row interface path), BENCH_search.json (bin-once SampleSet views
-# vs the per-candidate slice-copy representation), BENCH_serve.json
-# (incremental sharded fleet scoring vs the full-replay seed serving
-# path), and BENCH_io.json (MFPAC binary telemetry container vs the
-# CSV compat format, gated on a bit-exact load equivalence check) via
-# cmd/mfpabench.
+# bench writes BENCH_train.json (training: the histogram engine, and
+# its speedup over the seed-commit numbers below), BENCH_predict.json
+# (scoring: flattened batch kernel vs the per-row interface path),
+# BENCH_serve.json (incremental sharded fleet scoring vs the
+# full-replay seed serving path), and BENCH_io.json (MFPAC binary
+# telemetry container vs the CSV compat format, gated on a bit-exact
+# load equivalence check) via cmd/mfpabench.
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./internal/parallel ./internal/simfleet ./internal/dataset ./internal/features ./internal/ml/search ./internal/ml/predict ./internal/ml/forest ./internal/ml/gbdt ./internal/ml/nn
-	$(GO) run ./cmd/mfpabench -out BENCH_train.json -predict-out BENCH_predict.json -search-out BENCH_search.json -serve-out BENCH_serve.json -io-out BENCH_io.json -benchtime 2s \
+	$(GO) run ./cmd/mfpabench -out BENCH_train.json -predict-out BENCH_predict.json -serve-out BENCH_serve.json -io-out BENCH_io.json -benchtime 2s \
 		-baseline-ref $(BASELINE_REF) -baseline-ns $(BASELINE_NS) \
 		-baseline-bytes $(BASELINE_BYTES) -baseline-allocs $(BASELINE_ALLOCS)
 

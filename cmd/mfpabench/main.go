@@ -1,9 +1,9 @@
-// Command mfpabench measures the tree-ensemble training hot path on
-// the standard simulated fleet and records the histogram engine's
-// speedup over the exact sort-based splitter in a JSON file, seeding
-// the repository's performance trajectory. It runs each configuration
-// through testing.Benchmark so the numbers are directly comparable to
-// `go test -bench` output.
+// Command mfpabench measures the tree-ensemble training hot path of
+// the histogram engine on the standard simulated fleet and on the
+// package benchmark workloads, and records it in a JSON file (plus, when
+// seed-commit numbers are given, the speedup over them). It runs each
+// configuration through testing.Benchmark so the numbers are directly
+// comparable to `go test -bench` output.
 //
 // Usage:
 //
@@ -39,9 +39,9 @@ type Result struct {
 	Iterations  int     `json:"iterations"`
 }
 
-// Speedup compares the histogram engine against the exact engine.
+// Speedup compares the histogram engine against a baseline run.
 type Speedup struct {
-	Exact      Result  `json:"exact"`
+	Baseline   Result  `json:"baseline"`
 	Histogram  Result  `json:"histogram"`
 	TimeRatio  float64 `json:"time_ratio"`
 	AllocRatio float64 `json:"alloc_ratio"`
@@ -54,7 +54,7 @@ type Report struct {
 	GeneratedAt string             `json:"generated_at"`
 	Dataset     map[string]int     `json:"dataset"`
 	Benchmarks  []Result           `json:"benchmarks"`
-	Speedups    map[string]Speedup `json:"speedups"`
+	Speedups    map[string]Speedup `json:"speedups,omitempty"`
 }
 
 func main() {
@@ -73,8 +73,6 @@ func main() {
 		predictTrain = flag.Int("predict-train-rows", 50000, "training rows of the wide scoring workload")
 		predictProbe = flag.Int("predict-probe-rows", 100000, "probe rows of the wide scoring workload")
 
-		searchOut = flag.String("search-out", "BENCH_search.json", "search report path (empty disables the SampleSet/view benchmarks)")
-
 		serveOut = flag.String("serve-out", "BENCH_serve.json", "serving report path (empty disables the incremental scoring benchmarks)")
 
 		ioOut = flag.String("io-out", "BENCH_io.json", "telemetry container report path (empty disables the CSV-vs-MFPAC benchmarks)")
@@ -92,7 +90,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	train, allSamples, prepared, err := standardTrainingSet(*scale)
+	train, allSamples, err := standardTrainingSet(*scale)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -101,38 +99,21 @@ func main() {
 		len(train), pos, len(train[0].X))
 
 	benchmark := func(set []ml.Sample, name string, trainer ml.Trainer) Result {
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
+		return benchFn(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := trainer.Train(set); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-		res := Result{
-			Name:        name,
-			NsPerOp:     float64(r.NsPerOp()),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			Iterations:  r.N,
-		}
-		fmt.Printf("  %-28s %12.0f ns/op %12d B/op %9d allocs/op\n",
-			name, res.NsPerOp, res.BytesPerOp, res.AllocsPerOp)
-		return res
 	}
 	rfHist := benchmark(train, "ForestTrain/fleet/histogram", &forest.Trainer{Trees: *trees, MaxDepth: 12, Seed: 1})
-	rfExact := benchmark(train, "ForestTrain/fleet/exact", &forest.Trainer{Trees: *trees, MaxDepth: 12, Seed: 1, Bins: -1})
 	gbHist := benchmark(train, "GBDTTrain/fleet/histogram", &gbdt.Trainer{Rounds: *rounds, MaxDepth: 4, Subsample: 0.8, Seed: 1})
-	gbExact := benchmark(train, "GBDTTrain/fleet/exact", &gbdt.Trainer{Rounds: *rounds, MaxDepth: 4, Subsample: 0.8, Seed: 1, Bins: -1})
 
 	// The same workloads as the package benchmarks, so the recorded
-	// ratios line up with `go test -bench BenchmarkForestTrain`.
-	ringsTrain := rings(2000, 1)
-	moonsTrain := moons(1000, 1)
-	bfHist := benchmark(ringsTrain, "BenchmarkForestTrain/histogram", &forest.Trainer{Trees: 50, MaxDepth: 10, Seed: 1})
-	bfExact := benchmark(ringsTrain, "BenchmarkForestTrain/exact", &forest.Trainer{Trees: 50, MaxDepth: 10, Seed: 1, Bins: -1})
-	bgHist := benchmark(moonsTrain, "BenchmarkGBDTTrain/histogram", &gbdt.Trainer{Rounds: 60, MaxDepth: 4, Subsample: 0.8, Seed: 1})
-	bgExact := benchmark(moonsTrain, "BenchmarkGBDTTrain/exact", &gbdt.Trainer{Rounds: 60, MaxDepth: 4, Subsample: 0.8, Seed: 1, Bins: -1})
+	// numbers line up with `go test -bench BenchmarkForestTrain`.
+	bfHist := benchmark(rings(2000, 1), "BenchmarkForestTrain/histogram", &forest.Trainer{Trees: 50, MaxDepth: 10, Seed: 1})
+	bgHist := benchmark(moons(1000, 1), "BenchmarkGBDTTrain/histogram", &gbdt.Trainer{Rounds: 60, MaxDepth: 4, Subsample: 0.8, Seed: 1})
 
 	report := Report{
 		GoVersion:   runtime.Version(),
@@ -143,13 +124,7 @@ func main() {
 			"positive": pos,
 			"features": len(train[0].X),
 		},
-		Benchmarks: []Result{rfHist, rfExact, gbHist, gbExact, bfHist, bfExact, bgHist, bgExact},
-		Speedups: map[string]Speedup{
-			"forest_fleet":           ratio(rfExact, rfHist),
-			"gbdt_fleet":             ratio(gbExact, gbHist),
-			"benchmark_forest_train": ratio(bfExact, bfHist),
-			"benchmark_gbdt_train":   ratio(bgExact, bgHist),
-		},
+		Benchmarks: []Result{rfHist, gbHist, bfHist, bgHist},
 	}
 	if *baseNs > 0 {
 		name := "BenchmarkForestTrain/seed"
@@ -158,7 +133,7 @@ func main() {
 		}
 		seed := Result{Name: name, NsPerOp: *baseNs, BytesPerOp: *baseBytes, AllocsPerOp: *baseAllocs}
 		report.Benchmarks = append(report.Benchmarks, seed)
-		report.Speedups["benchmark_forest_train_vs_seed"] = ratio(seed, bfHist)
+		report.Speedups = map[string]Speedup{"benchmark_forest_train_vs_seed": ratio(seed, bfHist)}
 	}
 	f, err := os.Create(*out)
 	if err != nil {
@@ -172,12 +147,7 @@ func main() {
 	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
-	keys := []string{"forest_fleet", "gbdt_fleet", "benchmark_forest_train", "benchmark_gbdt_train"}
-	if *baseNs > 0 {
-		keys = append(keys, "benchmark_forest_train_vs_seed")
-	}
-	for _, key := range keys {
-		s := report.Speedups[key]
+	for key, s := range report.Speedups {
 		fmt.Printf("%-30s %6.2fx faster, %6.2fx fewer allocations\n", key, s.TimeRatio, s.AllocRatio)
 	}
 	fmt.Printf("written to %s\n", *out)
@@ -186,10 +156,6 @@ func main() {
 		fmt.Printf("scoring benchmarks: wide %d train / %d probe rows, fleet %d train / %d probe rows\n",
 			*predictTrain, *predictProbe, len(train), len(allSamples))
 		runPredictBench(*predictOut, *predictTrain, *predictProbe, train, allSamples)
-	}
-
-	if *searchOut != "" {
-		runSearchBench(*searchOut, prepared)
 	}
 
 	if *serveOut != "" {
@@ -201,13 +167,31 @@ func main() {
 	}
 }
 
-func ratio(exact, hist Result) Speedup {
-	s := Speedup{Exact: exact, Histogram: hist}
+// benchFn runs an arbitrary benchmark body through testing.Benchmark.
+func benchFn(name string, fn func(b *testing.B)) Result {
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		fn(b)
+	})
+	res := Result{
+		Name:        name,
+		NsPerOp:     float64(r.NsPerOp()),
+		AllocsPerOp: r.AllocsPerOp(),
+		BytesPerOp:  r.AllocedBytesPerOp(),
+		Iterations:  r.N,
+	}
+	fmt.Printf("  %-34s %12.0f ns/op %12d B/op %9d allocs/op\n",
+		name, res.NsPerOp, res.BytesPerOp, res.AllocsPerOp)
+	return res
+}
+
+func ratio(base, hist Result) Speedup {
+	s := Speedup{Baseline: base, Histogram: hist}
 	if hist.NsPerOp > 0 {
-		s.TimeRatio = exact.NsPerOp / hist.NsPerOp
+		s.TimeRatio = base.NsPerOp / hist.NsPerOp
 	}
 	if hist.AllocsPerOp > 0 {
-		s.AllocRatio = float64(exact.AllocsPerOp) / float64(hist.AllocsPerOp)
+		s.AllocRatio = float64(base.AllocsPerOp) / float64(hist.AllocsPerOp)
 	}
 	return s
 }
@@ -247,31 +231,30 @@ func moons(n int, seed int64) []ml.Sample {
 
 // standardTrainingSet reproduces mfpatrain's default data path: the
 // standard simulated fleet, vendor I, SFWB features, time-based
-// segmentation, 3:1 under-sampling — the exact training set every
-// grid-search and feature-selection experiment hammers. It also
-// returns the full (pre-split, pre-undersampling) sample set, which is
-// the fleet-wide scoring workload of the predict benchmarks.
-func standardTrainingSet(scale float64) (train, all []ml.Sample, p *core.Prepared, err error) {
+// segmentation, 3:1 under-sampling — the training set the grid-search
+// and feature-selection experiments run on. It also returns the full
+// (pre-split, pre-undersampling) sample set, which is the fleet-wide
+// scoring workload of the predict benchmarks.
+func standardTrainingSet(scale float64) (train, all []ml.Sample, err error) {
 	fleetCfg := simfleet.DefaultConfig()
 	fleetCfg.Seed = 1
 	fleetCfg.FailureScale = scale
 	fleet, err := simfleet.SimulateFrame(fleetCfg)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	p, err = core.PrepareFrame(fleet.Frame, fleet.Tickets, core.DefaultConfig("I"))
+	p, err := core.PrepareFrame(fleet.Frame, fleet.Tickets, core.DefaultConfig("I"))
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	set, err := p.BuildSampleSet()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	all = set.All().Materialize()
-	split, _ := sampling.SplitFraction(all, p.Config.TrainFrac)
-	train, err = sampling.UnderSample(split, p.Config.NegativeRatio, p.Config.Seed)
+	split, _ := sampling.SplitFractionView(set.All(), p.Config.TrainFrac)
+	us, err := sampling.UnderSampleView(split, p.Config.NegativeRatio, p.Config.Seed)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return train, all, p, nil
+	return us.Materialize(), set.All().Materialize(), nil
 }

@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/dataset"
 	"repro/internal/features"
@@ -44,9 +45,8 @@ func (a Algorithm) Sequential() bool { return a == AlgoCNNLSTM }
 // newTrainer instantiates the algorithm with the repository's default
 // hyper-parameters (chosen by the grid-search experiment). width and
 // seqLen parameterise the CNN_LSTM input shape; workers bounds the
-// training parallelism of the ensemble learners; bins selects the
-// tree ensembles' histogram split engine (0 = 256 bins, negative =
-// exact sort-based splitter).
+// training parallelism of the ensemble learners; bins is the tree
+// ensembles' histogram bin budget (0 = 256 bins).
 func (a Algorithm) newTrainer(seed int64, width, seqLen, workers, bins int) (ml.Trainer, error) {
 	switch a {
 	case AlgoBayes:
@@ -129,9 +129,9 @@ type Config struct {
 	// Bins is the per-feature bin budget of the histogram training
 	// engine behind the tree ensembles (RF, GBDT): 0 selects 256 (the
 	// default engine), positive values are clamped to at most 256, and
-	// any negative value falls back to the exact sort-based splitter.
-	// Binning quantises split thresholds but leaves them exact while
-	// features have no more distinct values than bins.
+	// negative values are rejected. Binning quantises split thresholds
+	// but leaves them exact while features have no more distinct values
+	// than bins.
 	Bins int
 }
 
@@ -181,17 +181,20 @@ func (c Config) Validate() error {
 	if c.Group.Empty() {
 		return fmt.Errorf("core: empty feature group")
 	}
-	if c.TrainFrac <= 0 || c.TrainFrac >= 1 {
+	if !(c.TrainFrac > 0 && c.TrainFrac < 1) {
 		return fmt.Errorf("core: TrainFrac %g must be in (0,1)", c.TrainFrac)
 	}
-	if c.NegativeRatio <= 0 {
-		return fmt.Errorf("core: NegativeRatio %g must be > 0", c.NegativeRatio)
+	if !(c.NegativeRatio > 0) || math.IsInf(c.NegativeRatio, 1) {
+		return fmt.Errorf("core: NegativeRatio %g must be positive and finite", c.NegativeRatio)
 	}
 	if c.PositiveWindowDays < 1 {
 		return fmt.Errorf("core: PositiveWindowDays %d must be ≥ 1", c.PositiveWindowDays)
 	}
 	if c.Theta < 0 {
 		return fmt.Errorf("core: Theta %d must be ≥ 0", c.Theta)
+	}
+	if c.Bins < 0 {
+		return fmt.Errorf("core: Bins %d must be ≥ 0", c.Bins)
 	}
 	switch c.Algorithm {
 	case AlgoBayes, AlgoSVM, AlgoRF, AlgoGBDT, AlgoCNNLSTM:

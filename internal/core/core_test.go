@@ -50,7 +50,11 @@ func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{}, // empty group
 		{Group: features.GroupS, TrainFrac: 1.5},
+		{Group: features.GroupS, TrainFrac: math.NaN()},
 		{Group: features.GroupS, NegativeRatio: -1},
+		{Group: features.GroupS, NegativeRatio: math.NaN()},
+		{Group: features.GroupS, NegativeRatio: math.Inf(1)},
+		{Group: features.GroupS, Bins: -1},
 		{Group: features.GroupS, PositiveWindowDays: -3},
 		{Group: features.GroupS, Theta: -1},
 		{Group: features.GroupS, Algorithm: "nope"},
@@ -306,7 +310,11 @@ func TestCalibrationFallsBackOnTinyTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := calibrateThreshold(trainer, train, Config{CVFolds: 30, NegativeRatio: 3}); err == nil {
+	set, err := ml.FromSamples(train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := calibrateThresholdView(trainer, set.All(), Config{CVFolds: 30, NegativeRatio: 3}); err == nil {
 		t.Fatal("impossible fold count accepted")
 	}
 }

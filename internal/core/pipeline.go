@@ -126,6 +126,15 @@ func (p *Prepared) BuildSampleSet() (*ml.SampleSet, error) {
 	return features.BuildSampleSetFrame(p.Frame, p.Labels, p.Extractor, p.buildOptions())
 }
 
+// trainingSet builds the set Train consumes: SeqLen-record windows for
+// the sequential CNN_LSTM, flat rows for every other algorithm.
+func (p *Prepared) trainingSet() (*ml.SampleSet, error) {
+	if p.Config.Algorithm.Sequential() {
+		return features.BuildSeqSampleSet(p.Frame, p.Labels, p.Extractor, p.Config.SeqLen, p.buildOptions())
+	}
+	return p.BuildSampleSet()
+}
+
 // Model is a trained MFPA failure predictor.
 type Model struct {
 	Config      Config
@@ -157,25 +166,22 @@ type TrainReport struct {
 	EvalTime   time.Duration
 }
 
-// Train runs the modelling stages of MFPA on prepared data: sample
-// construction → timepoint segmentation → under-sampling → training →
-// held-out evaluation.
+// Train runs the modelling stages of MFPA on prepared data, one path
+// for every algorithm: sample construction → timepoint segmentation →
+// under-sampling → threshold calibration → training → held-out
+// evaluation.
 //
-// Flat algorithms run on the columnar view path: samples are extracted
-// once into a shared ml.SampleSet arena, and segmentation,
-// under-sampling, threshold calibration, and training all operate on
+// Samples are extracted once into a shared ml.SampleSet — flat rows,
+// or for the sequential CNN_LSTM a windowed set whose overlapping
+// sequence windows share one per-record arena — and segmentation,
+// under-sampling, calibration folds, and training all operate on
 // zero-copy row-index views of it (bin-once for the tree ensembles).
-// The sequential CNN_LSTM representation has no flat-arena form and
-// keeps the per-sample slice path.
-func Train(p *Prepared, tests ...[]ml.Sample) (*Model, *TrainReport, error) {
-	if p.Config.Algorithm.Sequential() {
-		return trainSlices(p, tests...)
-	}
+func Train(p *Prepared) (*Model, *TrainReport, error) {
 	cfg := p.Config
 	report := &TrainReport{Prepared: p}
 
 	start := time.Now()
-	set, err := p.BuildSampleSet()
+	set, err := p.trainingSet()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -190,9 +196,6 @@ func Train(p *Prepared, tests ...[]ml.Sample) (*Model, *TrainReport, error) {
 	// The held-out set is only read for evaluation, so a header-only
 	// materialisation (vectors aliasing the arena) is safe and cheap.
 	testSamples := test.Materialize()
-	if len(tests) > 0 && tests[0] != nil {
-		testSamples = tests[0]
-	}
 	trainFull := train
 	train, err = sampling.UnderSampleView(train, cfg.NegativeRatio, cfg.Seed)
 	if err != nil {
@@ -243,126 +246,15 @@ func Train(p *Prepared, tests ...[]ml.Sample) (*Model, *TrainReport, error) {
 	return m, report, nil
 }
 
-// trainSlices is the []ml.Sample training path, retained for the
-// sequential CNN_LSTM whose overlapping windows cannot share a flat
-// arena.
-func trainSlices(p *Prepared, tests ...[]ml.Sample) (*Model, *TrainReport, error) {
-	cfg := p.Config
-	report := &TrainReport{Prepared: p}
-
-	start := time.Now()
-	samples, err := features.BuildSeqSamples(p.Frame, p.Labels, p.Extractor, cfg.SeqLen, p.buildOptions())
-	if err != nil {
-		return nil, nil, err
-	}
-	report.SampleTime = time.Since(start)
-
-	var train, test []ml.Sample
-	if cfg.RandomSegmentation {
-		train, test = sampling.RandomSplit(samples, 1-cfg.TrainFrac, cfg.Seed)
-	} else {
-		train, test = sampling.SplitFraction(samples, cfg.TrainFrac)
-	}
-	if len(tests) > 0 && tests[0] != nil {
-		test = tests[0]
-	}
-	trainFull := train
-	train, err = sampling.UnderSample(train, cfg.NegativeRatio, cfg.Seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := ml.ValidateSamples(train, true); err != nil {
-		return nil, nil, fmt.Errorf("core: training set: %w", err)
-	}
-	report.TrainSamples = len(train)
-	report.TestSamples = len(test)
-	_, report.TrainPos = ml.ClassCounts(train)
-	_, report.TestPos = ml.ClassCounts(test)
-
-	width := p.Extractor.Width()
-	trainer, err := cfg.Algorithm.newTrainer(cfg.Seed, width, cfg.SeqLen, cfg.Workers, cfg.Bins)
-	if err != nil {
-		return nil, nil, err
-	}
-	start = time.Now()
-	threshold := 0.5
-	if !cfg.FixedThreshold {
-		if t, err := calibrateThreshold(trainer, trainFull, cfg); err == nil {
-			threshold = t
-		}
-	}
-	clf, err := trainer.Train(train)
-	if err != nil {
-		return nil, nil, err
-	}
-	report.TrainTime = time.Since(start)
-
-	m := &Model{
-		Config:      cfg,
-		Classifier:  clf,
-		TrainerName: trainer.Name(),
-		Width:       width,
-		Threshold:   threshold,
-	}
-	if len(train) > 0 {
-		last := 0
-		for i := range train {
-			if train[i].Day > last {
-				last = train[i].Day
-			}
-		}
-		m.TrainEndDay = last
-	}
-
-	start = time.Now()
-	if len(test) > 0 {
-		report.Eval = EvaluateSamplesAt(clf, test, threshold)
-	}
-	report.EvalTime = time.Since(start)
-	return m, report, nil
-}
-
-// calibrateThreshold picks the decision threshold on pooled time-series
-// cross-validation folds of the *full-prevalence* training window: each
-// fold's training part is under-sampled exactly as the final model's
-// is, but validation keeps the natural class balance so the FPR
-// estimate is trustworthy. The operating point is chosen without
-// touching test data.
-func calibrateThreshold(trainer ml.Trainer, trainFull []ml.Sample, cfg Config) (float64, error) {
-	folds, err := sampling.TimeSeriesCV(trainFull, cfg.CVFolds)
-	if err != nil {
-		return 0, err
-	}
-	var scores []float64
-	var labels []int
-	for _, fold := range folds {
-		tr, err := sampling.UnderSample(fold.Train, cfg.NegativeRatio, cfg.Seed)
-		if err != nil {
-			return 0, err
-		}
-		if !bothClasses(tr) || !bothClasses(fold.Val) {
-			continue
-		}
-		clf, err := trainer.Train(tr)
-		if err != nil {
-			return 0, err
-		}
-		scores = append(scores, ml.BatchScores(clf, fold.Val, cfg.Workers)...)
-		for i := range fold.Val {
-			labels = append(labels, fold.Val[i].Y)
-		}
-	}
-	if len(scores) == 0 {
-		return 0, fmt.Errorf("core: no usable calibration folds")
-	}
-	return pickThreshold(scores, labels), nil
-}
-
-// calibrateThresholdView is calibrateThreshold on zero-copy SampleSet
-// views: CV folds and their under-sampled training parts are row-index
-// views of the shared arena, and the pooled score/label buffers are
-// preallocated from the usable folds' validation sizes instead of
-// growing by append — each fold scores straight into its slot.
+// calibrateThresholdView picks the decision threshold on pooled
+// time-series cross-validation folds of the *full-prevalence* training
+// window: each fold's training part is under-sampled exactly as the
+// final model's is, but validation keeps the natural class balance so
+// the FPR estimate is trustworthy. The operating point is chosen
+// without touching test data. CV folds and their under-sampled
+// training parts are row-index views of the shared arena, and the
+// pooled score/label buffers are preallocated from the usable folds'
+// validation sizes — each fold scores straight into its slot.
 func calibrateThresholdView(trainer ml.Trainer, trainFull ml.View, cfg Config) (float64, error) {
 	folds, err := sampling.TimeSeriesCVView(trainFull, cfg.CVFolds)
 	if err != nil {
@@ -423,11 +315,6 @@ func pickThreshold(scores []float64, labels []int) float64 {
 
 // fprPenalty is the false-positive weight of the calibration criterion.
 const fprPenalty = 3
-
-func bothClasses(samples []ml.Sample) bool {
-	neg, pos := ml.ClassCounts(samples)
-	return neg > 0 && pos > 0
-}
 
 func bothClassesView(v ml.View) bool {
 	neg, pos := v.ClassCounts()

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/features"
-	"repro/internal/ml"
 	"repro/internal/ml/forest"
 	"repro/internal/ml/metrics"
 	"repro/internal/sampling"
@@ -174,33 +173,33 @@ func (c *Context) AblationCrossValidation() (*AblationResult, error) {
 		return nil, err
 	}
 	test := testView.Materialize()
-	trainUS, err := sampling.UnderSample(trainView.Materialize(), p.Config.NegativeRatio, p.Config.Seed)
+	trainUS, err := sampling.UnderSampleView(trainView, p.Config.NegativeRatio, p.Config.Seed)
 	if err != nil {
 		return nil, err
 	}
 	trainer := &forest.Trainer{Trees: 60, MaxDepth: 12, Seed: p.Config.Seed}
 
 	// Ground truth: train on the full window, evaluate forward.
-	clf, err := trainer.Train(trainUS)
+	clf, err := trainer.Train(trainUS.Materialize())
 	if err != nil {
 		return nil, err
 	}
 	trueAUC := metrics.AUCScore(clf, test)
 
-	meanAUC := func(folds []sampling.Fold) (float64, error) {
+	meanAUC := func(folds []sampling.FoldView) (float64, error) {
 		var sum float64
 		n := 0
 		for _, fold := range folds {
-			neg, pos := ml.ClassCounts(fold.Train)
-			negV, posV := ml.ClassCounts(fold.Val)
+			neg, pos := fold.Train.ClassCounts()
+			negV, posV := fold.Val.ClassCounts()
 			if neg == 0 || pos == 0 || negV == 0 || posV == 0 {
 				continue
 			}
-			cl, err := trainer.Train(fold.Train)
+			cl, err := trainer.Train(fold.Train.Materialize())
 			if err != nil {
 				return 0, err
 			}
-			sum += metrics.AUCScore(cl, fold.Val)
+			sum += metrics.AUCScore(cl, fold.Val.Materialize())
 			n++
 		}
 		if n == 0 {
@@ -209,7 +208,7 @@ func (c *Context) AblationCrossValidation() (*AblationResult, error) {
 		return sum / float64(n), nil
 	}
 
-	tsFolds, err := sampling.TimeSeriesCV(trainUS, 3)
+	tsFolds, err := sampling.TimeSeriesCVView(trainUS, 3)
 	if err != nil {
 		return nil, err
 	}
@@ -217,7 +216,7 @@ func (c *Context) AblationCrossValidation() (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	kFolds, err := sampling.KFoldCV(trainUS, 4, p.Config.Seed)
+	kFolds, err := sampling.KFoldCVView(trainUS, 4, p.Config.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -47,7 +47,7 @@ func (c *Context) CostStudy() (*CostResult, error) {
 		return nil, err
 	}
 	test := testView.Materialize()
-	m, _, err := core.Train(p, test)
+	m, _, err := core.Train(p)
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/features"
-	"repro/internal/ml"
 	"repro/internal/ml/forest"
 	"repro/internal/sampling"
 	"repro/internal/simfleet"
@@ -212,12 +211,11 @@ func (c *Context) Fig12() (*Fig12Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	set, err := p.BuildSampleSet()
+	m, _, err := core.Train(p)
 	if err != nil {
 		return nil, err
 	}
-	_, test := sampling.SplitFractionView(set.All(), cfg.TrainFrac)
-	m, _, err := core.Train(p, test.Materialize())
+	set, err := p.BuildSampleSet()
 	if err != nil {
 		return nil, err
 	}
@@ -227,41 +225,33 @@ func (c *Context) Fig12() (*Fig12Result, error) {
 	}
 	// Walk-forward selects by day internally, so passing the full
 	// sample set (not just the test split) keeps month boundaries exact.
-	samples := set.All().Materialize()
-	res.Months = m.WalkForward(samples, 30, 5)
+	all := set.All()
+	res.Months = m.WalkForward(all.Materialize(), 30, 5)
 
 	// Extension: apply the paper's recommendation — retrain at each
 	// month boundary on everything observed so far (strictly past-only
 	// data), keeping the original calibrated threshold so the series
 	// differ only by model freshness.
 	for _, mo := range res.Months {
-		var trainNow []ml.Sample
-		var window []ml.Sample
-		for i := range samples {
-			switch {
-			case samples[i].Day < mo.FromDay:
-				trainNow = append(trainNow, samples[i])
-			case samples[i].Day <= mo.ToDay:
-				window = append(window, samples[i])
-			}
-		}
-		if len(window) == 0 {
+		trainNow, later := sampling.SplitAtDayView(all, mo.FromDay-1)
+		window, _ := sampling.SplitAtDayView(later, mo.ToDay)
+		if window.Len() == 0 {
 			continue
 		}
-		trainUS, err := sampling.UnderSample(trainNow, p.Config.NegativeRatio, p.Config.Seed)
+		trainUS, err := sampling.UnderSampleView(trainNow, p.Config.NegativeRatio, p.Config.Seed)
 		if err != nil {
 			return nil, err
 		}
-		clf, err := (&forest.Trainer{Trees: 100, MaxDepth: 12, Seed: p.Config.Seed}).Train(trainUS)
+		clf, err := (&forest.Trainer{Trees: 100, MaxDepth: 12, Seed: p.Config.Seed}).Train(trainUS.Materialize())
 		if err != nil {
 			return nil, err
 		}
-		neg, pos := ml.ClassCounts(window)
+		neg, pos := window.ClassCounts()
 		res.IterMonths = append(res.IterMonths, core.MonthlyEvaluation{
 			Month:    mo.Month,
 			FromDay:  mo.FromDay,
 			ToDay:    mo.ToDay,
-			Eval:     core.EvaluateSamplesAt(clf, window, m.Threshold),
+			Eval:     core.EvaluateSamplesAt(clf, window.Materialize(), m.Threshold),
 			Positive: pos,
 			Negative: neg,
 		})

@@ -104,11 +104,11 @@ func (c *Context) Fig18() (*Fig18Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		trainUS, err := sampling.UnderSample(train.Materialize(), pb.Config.NegativeRatio, pb.Config.Seed)
+		trainUS, err := sampling.UnderSampleView(train, pb.Config.NegativeRatio, pb.Config.Seed)
 		if err != nil {
 			return nil, err
 		}
-		clf, err := b.NewTrainer(pb.Config.Seed).Train(trainUS)
+		clf, err := b.NewTrainer(pb.Config.Seed).Train(trainUS.Materialize())
 		if err != nil {
 			return nil, fmt.Errorf("experiments: baseline %s: %w", b.Name, err)
 		}

@@ -28,11 +28,11 @@ func (c *Context) Importance() (*ImportanceResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	train, err := sampling.UnderSample(trainView.Materialize(), p.Config.NegativeRatio, p.Config.Seed)
+	train, err := sampling.UnderSampleView(trainView, p.Config.NegativeRatio, p.Config.Seed)
 	if err != nil {
 		return nil, err
 	}
-	clf, err := (&forest.Trainer{Trees: 100, MaxDepth: 12, Seed: p.Config.Seed}).Train(train)
+	clf, err := (&forest.Trainer{Trees: 100, MaxDepth: 12, Seed: p.Config.Seed}).Train(train.Materialize())
 	if err != nil {
 		return nil, err
 	}

@@ -56,20 +56,20 @@ func rowLabel(faulty bool, failDay, day int, opts *BuildOptions) (y int8, keep b
 	}
 }
 
-// BuildSeqSamples constructs sequence samples for the CNN_LSTM: sliding
-// windows of seqLen consecutive *rows* per drive, flattened time-major
-// (X[t*width+f]). A window is labelled by its final row under the
-// BuildOptions rules. Because consumer telemetry is discontinuous, the
-// rows inside a window may span far more calendar days than seqLen —
-// exactly the data-quality hazard the paper blames for CNN_LSTM's
-// weaker results.
+// BuildSeqSampleSet constructs the CNN_LSTM's sequence samples as a
+// windowed ml.SampleSet: sliding windows of seqLen consecutive *rows*
+// per drive, flattened time-major (X[t*width+f]). A window is labelled
+// by its final row under the BuildOptions rules. Because consumer
+// telemetry is discontinuous, the rows inside a window may span far
+// more calendar days than seqLen — exactly the data-quality hazard the
+// paper blames for CNN_LSTM's weaker results.
 //
-// Each drive's rows are extracted once into a drive arena, and every
-// window's X is a capped subslice of it (consecutive time-major rows
-// are contiguous), so overlapping windows share feature data. Sample
-// order is drive order, then end row; the output is identical at any
-// worker count.
-func BuildSeqSamples(f *dataset.Frame, labels labeling.Labels, e *Extractor, seqLen int, opts BuildOptions) ([]ml.Sample, error) {
+// The arena holds one extracted feature row per frame row of every
+// drive that yields a window, in frame drive order; the window ending
+// at arena row r starts at (r-seqLen+1)*width, so overlapping windows
+// share feature data and no window is copied. Row order is drive
+// order, then end row; the set is identical at any worker count.
+func BuildSeqSampleSet(f *dataset.Frame, labels labeling.Labels, e *Extractor, seqLen int, opts BuildOptions) (*ml.SampleSet, error) {
 	if seqLen < 1 {
 		return nil, fmt.Errorf("features: seqLen %d must be ≥ 1", seqLen)
 	}
@@ -92,41 +92,55 @@ func BuildSeqSamples(f *dataset.Frame, labels labeling.Labels, e *Extractor, seq
 	if err != nil {
 		return nil, err
 	}
+	// offs indexes the windows, base the arena rows of each drive with
+	// at least one window.
 	offs := make([]int, f.Drives()+1)
+	base := make([]int, f.Drives()+1)
 	for i, c := range counts {
 		offs[i+1] = offs[i] + c
+		base[i+1] = base[i]
+		if c > 0 {
+			base[i+1] += f.Drive(i).Rows()
+		}
 	}
-	if offs[f.Drives()] == 0 {
+	total := offs[f.Drives()]
+	if total == 0 {
 		return nil, fmt.Errorf("features: no sequence samples produced")
 	}
-	samples := make([]ml.Sample, offs[f.Drives()])
+	x := make([]float64, base[f.Drives()]*width)
+	start := make([]int, total)
+	y := make([]int8, total)
+	day := make([]int32, total)
+	sn := make([]string, total)
 	if err := parallel.Do(f.Drives(), opts.Workers, func(i int) error {
 		if offs[i] == offs[i+1] {
 			return nil
 		}
 		d := f.Drive(i)
 		label, faulty := labels[d.SerialNumber]
-		rows := make([]float64, d.Rows()*width)
 		fw := e.newFWCache(d.Vendor)
 		for k := 0; k < d.Rows(); k++ {
-			e.frameRow(f, int(d.Start)+k, fw, rows[k*width:(k+1)*width])
+			o := (base[i] + k) * width
+			e.frameRow(f, int(d.Start)+k, fw, x[o:o+width])
 		}
 		j := offs[i]
 		for end := seqLen - 1; end < d.Rows(); end++ {
-			day := int(f.Day(int(d.Start) + end))
-			y, keep := rowLabel(faulty, label.FailDay, day, &opts)
+			rd := int(f.Day(int(d.Start) + end))
+			yk, keep := rowLabel(faulty, label.FailDay, rd, &opts)
 			if !keep {
 				continue
 			}
-			lo, hi := (end-seqLen+1)*width, (end+1)*width
-			samples[j] = ml.Sample{X: rows[lo:hi:hi], Y: int(y), SN: d.SerialNumber, Day: day}
+			start[j] = (base[i] + end - seqLen + 1) * width
+			y[j] = yk
+			day[j] = int32(rd)
+			sn[j] = d.SerialNumber
 			j++
 		}
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	return samples, nil
+	return ml.NewWindowedSampleSet(seqLen*width, x, start, y, day, sn)
 }
 
 // PositiveSamplesAt extracts one evaluation sample per labelled drive of

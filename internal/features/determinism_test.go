@@ -2,7 +2,6 @@ package features
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"repro/internal/bsod"
@@ -47,8 +46,8 @@ func fleetFixture(t *testing.T, drives int) (*dataset.Dataset, labeling.Labels, 
 }
 
 // TestBuildSeqSamplesWorkersIdentical asserts the per-drive sequence
-// build is identical at every worker count, including the first-seen
-// firmware codes that the priming pass fixes in frame order.
+// set build is identical at every worker count, including the
+// first-seen firmware codes that the priming pass fixes in frame order.
 func TestBuildSeqSamplesWorkersIdentical(t *testing.T) {
 	d, labels, _ := fleetFixture(t, 20)
 	f := frameOf(t, d)
@@ -59,7 +58,7 @@ func TestBuildSeqSamplesWorkersIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	const seqLen = 4
-	want, err := BuildSeqSamples(f, labels, serialExt, seqLen, opts)
+	want, err := BuildSeqSampleSet(f, labels, serialExt, seqLen, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,12 +68,10 @@ func TestBuildSeqSamplesWorkersIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts.Workers = w
-		got, err := BuildSeqSamples(f, labels, e, seqLen, opts)
+		got, err := BuildSeqSampleSet(f, labels, e, seqLen, opts)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: sequence samples differ from serial build", w)
-		}
+		requireSetsEqualBits(t, want, got)
 	}
 }

@@ -1,7 +1,6 @@
 package features
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/bsod"
@@ -143,67 +142,6 @@ func TestExtractorUnknownVendorFallback(t *testing.T) {
 	}
 }
 
-func TestScaler(t *testing.T) {
-	samples := []ml.Sample{
-		{X: []float64{1, 100}, Y: 0},
-		{X: []float64{3, 300}, Y: 1},
-	}
-	s, err := FitScaler(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := s.Transform(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mean 0, unit variance per column.
-	for col := 0; col < 2; col++ {
-		var mean, varSum float64
-		for _, o := range out {
-			mean += o.X[col]
-		}
-		mean /= float64(len(out))
-		for _, o := range out {
-			d := o.X[col] - mean
-			varSum += d * d
-		}
-		if math.Abs(mean) > 1e-9 {
-			t.Errorf("col %d mean = %g", col, mean)
-		}
-		if math.Abs(varSum/float64(len(out))-1) > 1e-9 {
-			t.Errorf("col %d variance = %g", col, varSum/float64(len(out)))
-		}
-	}
-	// Inputs untouched.
-	if samples[0].X[0] != 1 {
-		t.Fatal("Transform mutated input")
-	}
-	// Vector path agrees.
-	v := s.TransformVec([]float64{1, 100})
-	if v[0] != out[0].X[0] || v[1] != out[0].X[1] {
-		t.Fatal("TransformVec disagrees with Transform")
-	}
-}
-
-func TestScalerConstantColumn(t *testing.T) {
-	samples := []ml.Sample{{X: []float64{5}, Y: 0}, {X: []float64{5}, Y: 1}}
-	s, err := FitScaler(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, _ := s.Transform(samples)
-	if math.IsNaN(out[0].X[0]) || math.IsInf(out[0].X[0], 0) {
-		t.Fatal("constant column produced non-finite value")
-	}
-}
-
-func TestScalerWidthMismatch(t *testing.T) {
-	s, _ := FitScaler([]ml.Sample{{X: []float64{1, 2}, Y: 0}})
-	if _, err := s.Transform([]ml.Sample{{X: []float64{1}, Y: 0}}); err == nil {
-		t.Fatal("width mismatch accepted")
-	}
-}
-
 func TestMask(t *testing.T) {
 	samples := []ml.Sample{{X: []float64{10, 20, 30}, Y: 1, SN: "a", Day: 5}}
 	out := Mask(samples, []int{2, 0})
@@ -317,10 +255,10 @@ func TestBuildSamplesValidation(t *testing.T) {
 	if _, err := BuildSampleSetFrame(f, labels, e, BuildOptions{}); err == nil {
 		t.Fatal("zero positive window accepted")
 	}
-	if _, err := BuildSeqSamples(f, labels, e, 3, BuildOptions{}); err == nil {
+	if _, err := BuildSeqSampleSet(f, labels, e, 3, BuildOptions{}); err == nil {
 		t.Fatal("zero positive window accepted for sequences")
 	}
-	if _, err := BuildSeqSamples(f, labels, e, 0, DefaultBuildOptions()); err == nil {
+	if _, err := BuildSeqSampleSet(f, labels, e, 0, DefaultBuildOptions()); err == nil {
 		t.Fatal("zero sequence length accepted")
 	}
 }
@@ -329,10 +267,11 @@ func TestBuildSeqSamplesShape(t *testing.T) {
 	f, labels, e := buildFixture(t)
 	opts := BuildOptions{PositiveWindowDays: 7, ExclusionDays: 7}
 	const seqLen = 3
-	samples, err := BuildSeqSamples(f, labels, e, seqLen, opts)
+	set, err := BuildSeqSampleSet(f, labels, e, seqLen, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	samples := set.All().Materialize()
 	want := seqLen * e.Width()
 	for _, s := range samples {
 		if len(s.X) != want {

@@ -19,20 +19,6 @@ func BenchmarkForestTrain(b *testing.B) {
 	}
 }
 
-// BenchmarkForestTrainExact measures the legacy sort-based splitter
-// (Bins: -1) on the same workload, the denominator of the histogram
-// engine's speedup.
-func BenchmarkForestTrainExact(b *testing.B) {
-	train := benchData(2000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := (&Trainer{Trees: 50, MaxDepth: 10, Seed: 1, Bins: -1}).Train(train); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkForestTrainSerial pins training to one goroutine, isolating
 // the per-tree cost of the histogram engine from the parallel speedup.
 func BenchmarkForestTrainSerial(b *testing.B) {
@@ -41,17 +27,6 @@ func BenchmarkForestTrainSerial(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := (&Trainer{Trees: 50, MaxDepth: 10, Seed: 1, Parallelism: 1}).Train(train); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkForestTrainSerialExact(b *testing.B) {
-	train := benchData(2000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := (&Trainer{Trees: 50, MaxDepth: 10, Seed: 1, Parallelism: 1, Bins: -1}).Train(train); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,8 +8,7 @@
 // quantile-binned once into a shared columnar matrix, each bootstrap
 // is expressed as per-row integer weights on that matrix (no row
 // copies), and every tree finds splits by histogram accumulation
-// instead of per-node sorting. Bins: -1 falls back to the exact
-// sort-based splitter.
+// instead of per-node sorting.
 package forest
 
 import (
@@ -36,9 +35,9 @@ type Trainer struct {
 	MaxFeatures int
 	// Bins is the histogram engine's per-feature bin budget: 0 selects
 	// matrix.DefaultBins (256), positive values are clamped to at most
-	// 256, and any negative value selects the exact sort-based
-	// splitter instead (the legacy engine; bit-identical to the
-	// histogram engine when bins cover every distinct value).
+	// 256, and negative values are rejected. Trees are bit-identical to
+	// exact sort-based split search while bins cover every distinct
+	// value.
 	Bins int
 	// Seed drives bootstrap sampling and per-tree feature subsampling.
 	Seed int64
@@ -51,6 +50,9 @@ func (t *Trainer) Name() string { return "RF" }
 
 // Train implements ml.Trainer.
 func (t *Trainer) Train(samples []ml.Sample) (ml.Classifier, error) {
+	if err := t.validateBins(); err != nil {
+		return nil, err
+	}
 	if err := ml.ValidateSamples(samples, false); err != nil {
 		return nil, err
 	}
@@ -87,26 +89,6 @@ func (t *Trainer) Train(samples []ml.Sample) (ml.Classifier, error) {
 	}
 	m := &Model{trees: make([]*tree.Classifier, nTrees)}
 
-	if t.Bins < 0 {
-		// Exact fallback: per-tree bootstrap copies and sort-based
-		// split finding on the raw matrix.
-		if err := parallel.Do(nTrees, t.Parallelism, func(ti int) error {
-			r := rand.New(rand.NewSource(seeds[ti]))
-			bootXs := make([][]float64, len(xs))
-			bootYs := make([]float64, len(xs))
-			for i := range bootXs {
-				j := r.Intn(len(xs))
-				bootXs[i] = xs[j]
-				bootYs[i] = ys[j]
-			}
-			m.trees[ti] = tree.GrowClassifier(bootXs, bootYs, cfg(ti))
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		return m, nil
-	}
-
 	// Histogram engine: bin once, share the matrix read-only across
 	// all trees, and express each bootstrap as integer row weights.
 	bm, err := matrix.BuildWorkers(xs, t.Bins, t.Parallelism)
@@ -140,10 +122,8 @@ func (t *Trainer) Train(samples []ml.Sample) (ml.Classifier, error) {
 // search without re-extracting features; grown trees keep global
 // feature indexes and predict on full-width rows.
 func (t *Trainer) TrainView(v ml.View) (ml.Classifier, error) {
-	if t.Bins < 0 {
-		// Exact engine: no shared binned matrix to reuse; fall back to
-		// the slice path on a materialised (header-only or masked) view.
-		return t.Train(v.Materialize())
+	if err := t.validateBins(); err != nil {
+		return nil, err
 	}
 	if err := ml.ValidateView(v, false); err != nil {
 		return nil, err
@@ -200,6 +180,13 @@ func (t *Trainer) TrainView(v ml.View) (ml.Classifier, error) {
 		return nil, err
 	}
 	return m, nil
+}
+
+func (t *Trainer) validateBins() error {
+	if t.Bins < 0 {
+		return fmt.Errorf("forest: Bins %d must be ≥ 0", t.Bins)
+	}
+	return nil
 }
 
 // Model is a fitted random forest.

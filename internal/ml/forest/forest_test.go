@@ -67,12 +67,12 @@ func TestForestDeterministicDespiteParallelism(t *testing.T) {
 }
 
 func TestForestExactFallbackDeterministicAndAccurate(t *testing.T) {
-	// Bins: -1 selects the exact sort-based splitter; it must remain a
-	// working, parallel-deterministic engine.
+	// The exact sort-based oracle the histogram engine is pinned to
+	// must itself be a working, parallel-deterministic engine.
 	train := rings(1000, 30)
 	test := rings(400, 31)
 	run := func(workers int) ml.Classifier {
-		clf, err := (&Trainer{Trees: 30, MaxDepth: 10, Seed: 1, Bins: -1, Parallelism: workers}).Train(train)
+		clf, err := trainExact(&Trainer{Trees: 30, MaxDepth: 10, Seed: 1, Parallelism: workers}, train)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,8 +96,8 @@ func TestForestExactFallbackDeterministicAndAccurate(t *testing.T) {
 func TestForestHistogramMatchesExactOnDiscreteFeatures(t *testing.T) {
 	// With fewer distinct values than bins the histogram engine's
 	// split search is exact, and weight-based bagging reproduces what
-	// bootstrap row copies would: the two engines agree prediction for
-	// prediction.
+	// bootstrap row copies would: the engine and the exact oracle agree
+	// prediction for prediction.
 	r := rand.New(rand.NewSource(40))
 	var train []ml.Sample
 	for i := 0; i < 600; i++ {
@@ -112,7 +112,7 @@ func TestForestHistogramMatchesExactOnDiscreteFeatures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := (&Trainer{Trees: 12, MaxDepth: 8, Seed: 3, Bins: -1}).Train(train)
+	exact, err := trainExact(&Trainer{Trees: 12, MaxDepth: 8, Seed: 3}, train)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,14 +76,11 @@ func TestForestTrainViewSubsetMatchesSliceSubset(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, seed := range []int64{1, 9} {
-		subSlice, err := sampling.UnderSample(samples, 1.5, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
 		subView, err := sampling.UnderSampleView(set.All(), 1.5, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
+		subSlice := subView.Materialize()
 		tr := &Trainer{Trees: 20, MaxDepth: 7, Seed: seed + 31}
 		sliceClf, err := tr.Train(subSlice)
 		if err != nil {
@@ -165,22 +162,32 @@ func TestForestTrainViewColsMatchesMaskedSlice(t *testing.T) {
 	}
 }
 
-// TestForestTrainViewExactFallback asserts Bins<0 routes through the
-// exact engine via materialisation and still matches the slice path.
+// TestForestTrainViewExactFallback asserts the exact-engine fallback is
+// gone: a negative bin budget is an error on both training paths.
 func TestForestTrainViewExactFallback(t *testing.T) {
-	samples := discreteData(300, 14)
+	samples := discreteData(50, 14)
 	set, err := ml.FromSamples(samples)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := &Trainer{Trees: 10, MaxDepth: 6, Seed: 5, Bins: -1}
-	sliceClf, err := tr.Train(samples)
+	tr := &Trainer{Trees: 3, Seed: 5, Bins: -1}
+	if _, err := tr.Train(samples); err == nil {
+		t.Fatal("Train accepted Bins -1")
+	}
+	if _, err := tr.TrainView(set.All()); err == nil {
+		t.Fatal("TrainView accepted Bins -1")
+	}
+}
+
+// TestForestTrainViewRejectsWindowedSet asserts the bin-once path
+// refuses a windowed (sequence) set instead of binning its arena.
+func TestForestTrainViewRejectsWindowedSet(t *testing.T) {
+	x := []float64{0, 1, 2, 3, 4, 5, 6, 7}
+	set, err := ml.NewWindowedSampleSet(4, x, []int{0, 2, 4}, []int8{0, 1, 0}, []int32{1, 2, 3}, []string{"a", "a", "a"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	viewClf, err := tr.TrainView(set.All())
-	if err != nil {
-		t.Fatal(err)
+	if _, err := (&Trainer{Trees: 2, Seed: 1}).TrainView(set.All()); err == nil {
+		t.Fatal("TrainView accepted a windowed set")
 	}
-	assertSamePredictions(t, "exact fallback", sliceClf, viewClf, discreteData(150, 15))
 }

@@ -17,20 +17,6 @@ func BenchmarkGBDTTrain(b *testing.B) {
 	}
 }
 
-// BenchmarkGBDTTrainExact measures the legacy sort-based splitter
-// (Bins: -1) on the same workload, the denominator of the histogram
-// engine's speedup.
-func BenchmarkGBDTTrainExact(b *testing.B) {
-	train := moons(1000, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := (&Trainer{Rounds: 60, MaxDepth: 4, Subsample: 0.8, Seed: 1, Bins: -1}).Train(train); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkGBDTPredict(b *testing.B) {
 	train := moons(1000, 1)
 	clf, err := (&Trainer{Rounds: 60, MaxDepth: 4, Seed: 1}).Train(train)

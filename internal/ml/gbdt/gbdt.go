@@ -6,8 +6,7 @@
 // engine on a columnar binned matrix built once per training run —
 // the feature geometry never changes across rounds, only the gradient
 // targets do — with stochastic-gradient-boosting row subsampling
-// expressed as 0/1 row weights. Bins: -1 falls back to the exact
-// sort-based splitter.
+// expressed as 0/1 row weights.
 package gbdt
 
 import (
@@ -38,8 +37,7 @@ type Trainer struct {
 	Subsample float64
 	// Bins is the histogram engine's per-feature bin budget: 0 selects
 	// matrix.DefaultBins (256), positive values are clamped to at most
-	// 256, and any negative value selects the exact sort-based
-	// splitter instead.
+	// 256, and negative values are rejected.
 	Bins int
 	// Seed drives subsampling.
 	Seed int64
@@ -50,6 +48,9 @@ func (t *Trainer) Name() string { return "GBDT" }
 
 // Train implements ml.Trainer.
 func (t *Trainer) Train(samples []ml.Sample) (ml.Classifier, error) {
+	if err := t.validateBins(); err != nil {
+		return nil, err
+	}
 	if err := ml.ValidateSamples(samples, true); err != nil {
 		return nil, err
 	}
@@ -99,16 +100,11 @@ func (t *Trainer) Train(samples []ml.Sample) (ml.Classifier, error) {
 
 	// Histogram engine: the binned matrix depends only on the feature
 	// matrix, so it is built once and reused by every boosting round.
-	var bm *matrix.BinnedMatrix
-	var weights []int
-	if t.Bins >= 0 {
-		var err error
-		bm, err = matrix.Build(xs, t.Bins)
-		if err != nil {
-			return nil, fmt.Errorf("gbdt: %w", err)
-		}
-		weights = make([]int, n)
+	bm, err := matrix.Build(xs, t.Bins)
+	if err != nil {
+		return nil, fmt.Errorf("gbdt: %w", err)
 	}
+	weights := make([]int, n)
 
 	for round := 0; round < rounds; round++ {
 		// Negative gradient of logistic loss: y − p.
@@ -128,24 +124,13 @@ func (t *Trainer) Train(samples []ml.Sample) (ml.Classifier, error) {
 			MinSamplesLeaf: minLeaf,
 			Seed:           t.Seed + int64(round)*9973,
 		}
-		var tr *tree.Regressor
-		if bm != nil {
-			for i := range weights {
-				weights[i] = 0
-			}
-			for _, i := range rowIdx {
-				weights[i] = 1
-			}
-			tr = tree.GrowRegressorBinned(bm, grad, weights, treeCfg)
-		} else {
-			rowXs := make([][]float64, len(rowIdx))
-			rowGrad := make([]float64, len(rowIdx))
-			for j, i := range rowIdx {
-				rowXs[j] = xs[i]
-				rowGrad[j] = grad[i]
-			}
-			tr = tree.GrowRegressor(rowXs, rowGrad, treeCfg)
+		for i := range weights {
+			weights[i] = 0
 		}
+		for _, i := range rowIdx {
+			weights[i] = 1
+		}
+		tr := tree.GrowRegressorBinned(bm, grad, weights, treeCfg)
 
 		// Newton leaf values: γ = Σ(y−p) / Σ p(1−p) over leaf members.
 		nl := tr.NumLeaves()
@@ -189,8 +174,8 @@ func (t *Trainer) Train(samples []ml.Sample) (ml.Classifier, error) {
 // restricts split search; trees keep global feature indexes and read
 // their rows straight out of the arena.
 func (t *Trainer) TrainView(v ml.View) (ml.Classifier, error) {
-	if t.Bins < 0 {
-		return t.Train(v.Materialize())
+	if err := t.validateBins(); err != nil {
+		return nil, err
 	}
 	if err := ml.ValidateView(v, true); err != nil {
 		return nil, err
@@ -307,6 +292,13 @@ func (t *Trainer) TrainView(v ml.View) (ml.Classifier, error) {
 		}
 	}
 	return m, nil
+}
+
+func (t *Trainer) validateBins() error {
+	if t.Bins < 0 {
+		return fmt.Errorf("gbdt: Bins %d must be ≥ 0", t.Bins)
+	}
+	return nil
 }
 
 // Model is a fitted gradient-boosted ensemble.

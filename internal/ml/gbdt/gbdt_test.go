@@ -145,10 +145,11 @@ func TestDeterministic(t *testing.T) {
 }
 
 func TestExactFallbackStillLearns(t *testing.T) {
-	// Bins: -1 selects the exact sort-based splitter.
+	// The exact sort-based oracle the histogram engine is pinned to
+	// must itself learn.
 	train := moons(500, 40)
 	test := moons(300, 41)
-	clf, err := (&Trainer{Rounds: 80, Seed: 1, Bins: -1}).Train(train)
+	clf, err := trainExact(&Trainer{Rounds: 80, Seed: 1}, train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestExactFallbackStillLearns(t *testing.T) {
 func TestHistogramMatchesExactOnDiscreteFeatures(t *testing.T) {
 	// On features with fewer distinct values than bins the histogram
 	// split search evaluates the same candidates at the same
-	// thresholds as the exact engine, so the boosted ensembles agree
+	// thresholds as the exact oracle, so the boosted ensembles agree
 	// score for score.
 	r := rand.New(rand.NewSource(42))
 	var train []ml.Sample
@@ -182,7 +183,7 @@ func TestHistogramMatchesExactOnDiscreteFeatures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := (&Trainer{Rounds: 30, Seed: 5, Subsample: 0.8, Bins: -1}).Train(train)
+	exact, err := trainExact(&Trainer{Rounds: 30, Seed: 5, Subsample: 0.8}, train)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,14 +75,11 @@ func TestGBDTTrainViewSubsetMatchesSliceSubset(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, seed := range []int64{1, 9} {
-		subSlice, err := sampling.UnderSample(samples, 1.5, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
 		subView, err := sampling.UnderSampleView(set.All(), 1.5, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
+		subSlice := subView.Materialize()
 		tr := &Trainer{Rounds: 20, MaxDepth: 4, Seed: seed + 31, Subsample: 0.8}
 		sliceClf, err := tr.Train(subSlice)
 		if err != nil {
@@ -136,22 +133,19 @@ func TestGBDTTrainViewColsMatchesMaskedSlice(t *testing.T) {
 	}
 }
 
-// TestGBDTTrainViewExactFallback asserts Bins<0 routes through the
-// exact engine via materialisation and still matches the slice path.
+// TestGBDTTrainViewExactFallback asserts the exact-engine fallback is
+// gone: a negative bin budget is an error on both training paths.
 func TestGBDTTrainViewExactFallback(t *testing.T) {
-	samples := discreteData(300, 14)
+	samples := discreteData(50, 14)
 	set, err := ml.FromSamples(samples)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := &Trainer{Rounds: 10, MaxDepth: 3, Seed: 5, Bins: -1}
-	sliceClf, err := tr.Train(samples)
-	if err != nil {
-		t.Fatal(err)
+	tr := &Trainer{Rounds: 3, Seed: 5, Bins: -1}
+	if _, err := tr.Train(samples); err == nil {
+		t.Fatal("Train accepted Bins -1")
 	}
-	viewClf, err := tr.TrainView(set.All())
-	if err != nil {
-		t.Fatal(err)
+	if _, err := tr.TrainView(set.All()); err == nil {
+		t.Fatal("TrainView accepted Bins -1")
 	}
-	assertSamePredictions(t, "exact fallback", sliceClf, viewClf, discreteData(150, 15))
 }

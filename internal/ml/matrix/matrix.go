@@ -123,9 +123,8 @@ func FromSamples(samples []ml.Sample, maxBins, workers int) (*BinnedMatrix, erro
 }
 
 // NormBins maps a bin budget to its effective value: 0 selects
-// DefaultBins, other values clamp to [2, MaxBins]. Negative budgets
-// (the exact-engine sentinel in the trainers) are the caller's
-// business and must not reach the binning layer.
+// DefaultBins, other values clamp to [2, MaxBins]. The trainers reject
+// negative budgets before they reach the binning layer.
 func NormBins(maxBins int) int {
 	switch {
 	case maxBins == 0:
@@ -192,12 +191,16 @@ func BuildStrided(x []float64, rows, cols, maxBins, workers int) (*BinnedMatrix,
 
 // SharedFromSet returns the set-wide binned matrix of a SampleSet,
 // building it at most once per effective bin budget and caching it on
-// the set — the bin-once contract behind grid search, SFS/SBS, and
-// walk-forward folds: candidate subsets are realised as row-masked
+// the set — the bin-once contract behind grid search, SFS, and
+// calibration folds: candidate subsets are realised as row-masked
 // views (per-row weights or index lists) of this one matrix instead of
 // re-binning per candidate. Safe for concurrent callers; every caller
-// with the same budget shares one build.
+// with the same budget shares one build. A windowed set has no
+// rows×width arena to bin and is rejected.
 func SharedFromSet(set *ml.SampleSet, maxBins, workers int) (*BinnedMatrix, error) {
+	if set.Windowed() {
+		return nil, fmt.Errorf("matrix: cannot bin a windowed sample set")
+	}
 	nb := NormBins(maxBins)
 	v, err := set.Cached(int64(nb), func() (any, error) {
 		return BuildStrided(set.Arena(), set.Len(), set.Width(), nb, workers)

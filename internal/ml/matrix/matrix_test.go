@@ -282,3 +282,16 @@ func TestRadixSortMatchesComparisonSort(t *testing.T) {
 		}
 	}
 }
+
+// TestSharedFromSetRejectsWindowedSet asserts a windowed set — whose
+// overlapping rows are no rows×width arena — is refused, not binned.
+func TestSharedFromSetRejectsWindowedSet(t *testing.T) {
+	x := []float64{0, 1, 2, 3, 4, 5}
+	set, err := ml.NewWindowedSampleSet(4, x, []int{0, 2}, []int8{0, 1}, []int32{1, 2}, []string{"a", "a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SharedFromSet(set, 0, 1); err == nil {
+		t.Fatal("windowed set binned")
+	}
+}

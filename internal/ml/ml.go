@@ -6,7 +6,6 @@ package ml
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 )
 
@@ -95,14 +94,6 @@ func ClassCounts(samples []Sample) (neg, pos int) {
 // required by the time-series segmentation and cross-validation.
 func SortByDay(samples []Sample) {
 	sort.SliceStable(samples, func(i, j int) bool { return samples[i].Day < samples[j].Day })
-}
-
-// Shuffle permutes samples deterministically with the given seed.
-func Shuffle(samples []Sample, seed int64) {
-	r := rand.New(rand.NewSource(seed))
-	r.Shuffle(len(samples), func(i, j int) {
-		samples[i], samples[j] = samples[j], samples[i]
-	})
 }
 
 // CloneVectors deep-copies the feature vectors of samples, for trainers

@@ -57,24 +57,6 @@ func TestSortByDayStable(t *testing.T) {
 	}
 }
 
-func TestShuffleDeterministic(t *testing.T) {
-	mk := func() []Sample {
-		var out []Sample
-		for i := 0; i < 20; i++ {
-			out = append(out, Sample{X: []float64{0}, Day: i})
-		}
-		return out
-	}
-	a, b := mk(), mk()
-	Shuffle(a, 7)
-	Shuffle(b, 7)
-	for i := range a {
-		if a[i].Day != b[i].Day {
-			t.Fatal("same seed produced different shuffles")
-		}
-	}
-}
-
 func TestCloneVectors(t *testing.T) {
 	orig := []Sample{{X: []float64{1, 2}, Y: 1, SN: "a"}}
 	c := CloneVectors(orig)

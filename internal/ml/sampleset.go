@@ -13,13 +13,20 @@ import (
 // search, and feature selection all operate on Views (int32 row-index
 // slices) instead of copying sample data per candidate.
 //
+// A windowed set (NewWindowedSampleSet) carries a per-row start offset
+// instead: row i is the width values starting at start[i], so rows may
+// overlap and share arena data — the CNN_LSTM's sliding sequence
+// windows over one per-record feature arena. Flat sets have a nil
+// start column and row i at i*width.
+//
 // A SampleSet is immutable after construction and safe for concurrent
 // readers; the Cached hook lets derived artefacts (notably the
 // quantile-binned matrix, see internal/ml/matrix.SharedFromSet) be
 // computed once and shared across candidates.
 type SampleSet struct {
 	width int
-	x     []float64 // len = rows*width, row-major
+	x     []float64 // len = rows*width, row-major (flat sets)
+	start []int     // per-row arena offset; nil for flat sets
 	y     []int8    // 0 or 1
 	day   []int32
 	sn    []string
@@ -35,25 +42,51 @@ type SampleSet struct {
 // arena x must hold len(y)*width values row-major; labels must be 0/1.
 // The slices are retained (not copied) and must not be mutated after.
 func NewSampleSet(width int, x []float64, y []int8, day []int32, sn []string) (*SampleSet, error) {
+	if err := checkColumns(width, y, day, sn); err != nil {
+		return nil, err
+	}
+	if len(x) != len(y)*width {
+		return nil, fmt.Errorf("ml: arena holds %d values, want %d rows × %d", len(x), len(y), width)
+	}
+	return &SampleSet{width: width, x: x, y: y, day: day, sn: sn}, nil
+}
+
+// NewWindowedSampleSet assembles a set whose row i is the width values
+// of x starting at start[i]; rows may overlap. The slices are retained
+// (not copied) and must not be mutated after.
+func NewWindowedSampleSet(width int, x []float64, start []int, y []int8, day []int32, sn []string) (*SampleSet, error) {
+	if err := checkColumns(width, y, day, sn); err != nil {
+		return nil, err
+	}
+	if len(start) != len(y) {
+		return nil, fmt.Errorf("ml: %d row offsets for %d rows", len(start), len(y))
+	}
+	for i, o := range start {
+		if o < 0 || o > len(x)-width {
+			return nil, fmt.Errorf("ml: row %d at offset %d overruns the %d-value arena", i, o, len(x))
+		}
+	}
+	return &SampleSet{width: width, x: x, start: start, y: y, day: day, sn: sn}, nil
+}
+
+// checkColumns validates the shape and labels shared by both layouts.
+func checkColumns(width int, y []int8, day []int32, sn []string) error {
 	if width <= 0 {
-		return nil, fmt.Errorf("ml: sample set width %d must be > 0", width)
+		return fmt.Errorf("ml: sample set width %d must be > 0", width)
 	}
 	rows := len(y)
 	if rows == 0 {
-		return nil, fmt.Errorf("ml: empty sample set")
-	}
-	if len(x) != rows*width {
-		return nil, fmt.Errorf("ml: arena holds %d values, want %d rows × %d", len(x), rows, width)
+		return fmt.Errorf("ml: empty sample set")
 	}
 	if len(day) != rows || len(sn) != rows {
-		return nil, fmt.Errorf("ml: column lengths %d/%d/%d disagree", rows, len(day), len(sn))
+		return fmt.Errorf("ml: column lengths %d/%d/%d disagree", rows, len(day), len(sn))
 	}
 	for i, v := range y {
 		if v != 0 && v != 1 {
-			return nil, fmt.Errorf("ml: sample %d has label %d, want 0 or 1", i, v)
+			return fmt.Errorf("ml: sample %d has label %d, want 0 or 1", i, v)
 		}
 	}
-	return &SampleSet{width: width, x: x, y: y, day: day, sn: sn}, nil
+	return nil
 }
 
 // FromSamples copies a legacy []Sample slice into columnar form — the
@@ -82,13 +115,23 @@ func (s *SampleSet) Len() int { return len(s.y) }
 // Width returns the feature vector length.
 func (s *SampleSet) Width() int { return s.width }
 
-// Arena returns the shared row-major feature arena. Read-only.
+// Windowed reports whether rows are per-row offsets into the arena
+// (NewWindowedSampleSet) rather than its consecutive rows×width blocks.
+func (s *SampleSet) Windowed() bool { return s.start != nil }
+
+// Arena returns the shared feature arena. Read-only. It is the
+// row-major rows×width matrix only for flat sets; a windowed set's
+// rows overlap in it.
 func (s *SampleSet) Arena() []float64 { return s.x }
 
 // Row returns row i's feature vector: a capped subslice of the arena
 // (appending to it cannot clobber the next row). Read-only.
 func (s *SampleSet) Row(i int) []float64 {
-	return s.x[i*s.width : (i+1)*s.width : (i+1)*s.width]
+	o := i * s.width
+	if s.start != nil {
+		o = s.start[i]
+	}
+	return s.x[o : o+s.width : o+s.width]
 }
 
 // Y returns row i's label.

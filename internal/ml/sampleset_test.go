@@ -252,3 +252,35 @@ func (r *recordingTrainer) Train(s []Sample) (Classifier, error) {
 }
 
 func (r *recordingTrainer) Name() string { return "recording" }
+
+// TestWindowedSampleSet checks the windowed layout: rows are capped,
+// possibly overlapping subslices at their start offsets, views and
+// materialisation read through them, and bad offsets are rejected.
+func TestWindowedSampleSet(t *testing.T) {
+	x := []float64{0, 1, 2, 3, 4, 5, 6, 7}
+	set, err := NewWindowedSampleSet(4, x, []int{0, 2, 4}, []int8{0, 1, 0}, []int32{3, 4, 5}, []string{"a", "a", "a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !set.Windowed() || set.Len() != 3 || set.Width() != 4 {
+		t.Fatalf("windowed=%v shape %dx%d", set.Windowed(), set.Len(), set.Width())
+	}
+	for i, want := range []float64{0, 2, 4} {
+		row := set.Row(i)
+		if len(row) != 4 || cap(row) != 4 || row[0] != want || &row[0] != &x[int(want)] {
+			t.Fatalf("row %d = %v (cap %d), want 4 values from arena[%g]", i, row, cap(row), want)
+		}
+	}
+	got := set.All().WithRows([]int32{2, 1}).Materialize()
+	if got[0].X[3] != 7 || got[1].Y != 1 || got[1].Day != 4 {
+		t.Fatalf("materialised %+v", got)
+	}
+	for _, start := range [][]int{{0, 2}, {0, 2, 5}, {-1, 2, 4}} {
+		if _, err := NewWindowedSampleSet(4, x, start, []int8{0, 1, 0}, []int32{3, 4, 5}, []string{"a", "a", "a"}); err == nil {
+			t.Fatalf("offsets %v accepted", start)
+		}
+	}
+	if flat, _ := FromSamples(setSamples(3, 2, 1)); flat.Windowed() {
+		t.Fatal("flat set reports windowed")
+	}
+}

@@ -38,26 +38,29 @@ func treeFactory(params map[string]float64) ml.Trainer {
 	}}
 }
 
-// TestGridSearchWorkersIdentical asserts the (combo × fold) fan-out
-// reproduces the serial sweep exactly, including candidate order and
-// floating-point scores.
+// TestGridSearchWorkersIdentical asserts the (combo × fold) fan-out of
+// GridSearchSet reproduces the serial sweep exactly, including
+// candidate order and floating-point scores, for both the fallback
+// trainer and a bin-once ViewTrainer.
 func TestGridSearchWorkersIdentical(t *testing.T) {
-	samples := trendData(400, 21)
+	samples := setView(t, trendData(400, 21))
 	grid := Grid{"depth": {1, 2, 4, 6}}
-	want, wantBest, err := GridSearchWorkers(treeFactory, grid, samples, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{0, 2, 3, 8} {
-		got, gotBest, err := GridSearchWorkers(treeFactory, grid, samples, 3, w)
+	for name, factory := range map[string]Factory{"tree": treeFactory, "forest": forestFactory(4)} {
+		want, wantBest, err := GridSearchSet(factory, grid, samples, 3, 1)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: candidates = %v, want %v", w, got, want)
-		}
-		if !reflect.DeepEqual(gotBest, wantBest) {
-			t.Fatalf("workers=%d: best = %v, want %v", w, gotBest, wantBest)
+		for _, w := range []int{0, 2, 3, 8} {
+			got, gotBest, err := GridSearchSet(factory, grid, samples, 3, w)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", name, w, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s workers=%d: candidates = %v, want %v", name, w, got, want)
+			}
+			if !reflect.DeepEqual(gotBest, wantBest) {
+				t.Fatalf("%s workers=%d: best = %v, want %v", name, w, gotBest, wantBest)
+			}
 		}
 	}
 }
@@ -82,18 +85,18 @@ func (f *failingTrainer) Name() string { return "failing" }
 // failure surfaces the same error at every worker count: the one the
 // serial left-to-right sweep would hit first.
 func TestGridSearchWorkersErrorIdentical(t *testing.T) {
-	samples := trendData(200, 22)
+	samples := setView(t, trendData(200, 22))
 	factory := func(params map[string]float64) ml.Trainer {
 		return &failingTrainer{fail: params["depth"] >= 4, inner: treeFactory(params)}
 	}
 	grid := Grid{"depth": {1, 2, 4, 6}}
-	_, _, err := GridSearchWorkers(factory, grid, samples, 3, 1)
+	_, _, err := GridSearchSet(factory, grid, samples, 3, 1)
 	if err == nil {
 		t.Fatal("failing combination accepted")
 	}
 	want := err.Error()
 	for _, w := range []int{0, 2, 3, 8} {
-		_, _, err := GridSearchWorkers(factory, grid, samples, 3, w)
+		_, _, err := GridSearchSet(factory, grid, samples, 3, w)
 		if err == nil {
 			t.Fatalf("workers=%d: failing combination accepted", w)
 		}
@@ -106,16 +109,15 @@ func TestGridSearchWorkersErrorIdentical(t *testing.T) {
 // TestForwardSelectWorkersIdentical asserts the candidate fan-out of
 // SFS reproduces the serial trajectory exactly.
 func TestForwardSelectWorkersIdentical(t *testing.T) {
-	samples := wideTrendData(600, 5, 23)
-	train, val := samples[:400], samples[400:]
+	train, val := splitViews(t, wideTrendData(600, 5, 23), 400)
 	trainer := &tree.Trainer{Config: tree.Config{MaxDepth: 4, MinSamplesLeaf: 10}}
 	names := []string{"signal", "n1", "n2", "n3", "n4"}
-	want, err := ForwardSelectWorkers(trainer, train, val, names, 3, 0, 1)
+	want, err := ForwardSelectSet(trainer, train, val, names, 3, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{0, 2, 3, 8} {
-		got, err := ForwardSelectWorkers(trainer, train, val, names, 3, 0, w)
+		got, err := ForwardSelectSet(trainer, train, val, names, 3, 0, w)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -128,41 +130,18 @@ func TestForwardSelectWorkersIdentical(t *testing.T) {
 // TestForwardSelectWorkersErrorIdentical asserts a candidate failing
 // mid-step yields the serial error at every worker count.
 func TestForwardSelectWorkersErrorIdentical(t *testing.T) {
-	samples := wideTrendData(200, 3, 24)
-	train, val := samples[:150], samples[150:]
+	train, val := splitViews(t, wideTrendData(200, 3, 24), 150)
 	trainer := &failingTrainer{fail: true}
 	names := []string{"a", "b", "c"}
-	_, err := ForwardSelectWorkers(trainer, train, val, names, 0, 0, 1)
+	_, err := ForwardSelectSet(trainer, train, val, names, 0, 0, 1)
 	if err == nil {
 		t.Fatal("failing trainer accepted")
 	}
 	want := err.Error()
 	for _, w := range []int{0, 2, 8} {
-		_, err := ForwardSelectWorkers(trainer, train, val, names, 0, 0, w)
+		_, err := ForwardSelectSet(trainer, train, val, names, 0, 0, w)
 		if err == nil || err.Error() != want {
 			t.Fatalf("workers=%d: error %v, want %q", w, err, want)
-		}
-	}
-}
-
-// TestBackwardEliminateWorkersIdentical asserts the drop-candidate
-// fan-out of SBS reproduces the serial trajectory exactly.
-func TestBackwardEliminateWorkersIdentical(t *testing.T) {
-	samples := wideTrendData(600, 5, 25)
-	train, val := samples[:400], samples[400:]
-	trainer := &tree.Trainer{Config: tree.Config{MaxDepth: 4, MinSamplesLeaf: 10}}
-	names := []string{"signal", "n1", "n2", "n3", "n4"}
-	want, err := BackwardEliminateWorkers(trainer, train, val, names, 1, 0.05, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{0, 2, 3, 8} {
-		got, err := BackwardEliminateWorkers(trainer, train, val, names, 1, 0.05, w)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: elimination differs: %v vs %v", w, got.Names, want.Names)
 		}
 	}
 }

@@ -29,6 +29,22 @@ func trendData(n int, seed int64) []ml.Sample {
 	return out
 }
 
+// setView wraps samples in a SampleSet and returns the view of all rows.
+func setView(t testing.TB, samples []ml.Sample) ml.View {
+	t.Helper()
+	set, err := ml.FromSamples(samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set.All()
+}
+
+// splitViews returns views of samples[:cut] and samples[cut:].
+func splitViews(t testing.TB, samples []ml.Sample, cut int) (train, val ml.View) {
+	t.Helper()
+	return setView(t, samples[:cut]), setView(t, samples[cut:])
+}
+
 func TestEnumerate(t *testing.T) {
 	grid := Grid{"a": {1, 2}, "b": {10, 20, 30}}
 	combos := enumerate(grid)
@@ -55,7 +71,7 @@ func TestEnumerateEmpty(t *testing.T) {
 }
 
 func TestGridSearchPicksSensibleDepth(t *testing.T) {
-	samples := trendData(400, 1)
+	samples := setView(t, trendData(400, 1))
 	factory := func(params map[string]float64) ml.Trainer {
 		return &tree.Trainer{Config: tree.Config{
 			MaxDepth:       int(params["depth"]),
@@ -63,7 +79,7 @@ func TestGridSearchPicksSensibleDepth(t *testing.T) {
 		}}
 	}
 	grid := Grid{"depth": {1, 4}}
-	candidates, best, err := GridSearch(factory, grid, samples, 3)
+	candidates, best, err := GridSearchSet(factory, grid, samples, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,16 +96,15 @@ func TestGridSearchPicksSensibleDepth(t *testing.T) {
 
 func TestGridSearchErrorsOnTinyData(t *testing.T) {
 	factory := func(map[string]float64) ml.Trainer { return &tree.Trainer{} }
-	if _, _, err := GridSearch(factory, Grid{"x": {1}}, trendData(3, 2), 5); err == nil {
+	if _, _, err := GridSearchSet(factory, Grid{"x": {1}}, setView(t, trendData(3, 2)), 5, 0); err == nil {
 		t.Fatal("too-small sample set accepted")
 	}
 }
 
 func TestForwardSelectFindsInformativeFeature(t *testing.T) {
-	samples := trendData(600, 3)
-	train, val := samples[:400], samples[400:]
+	train, val := splitViews(t, trendData(600, 3), 400)
 	trainer := &tree.Trainer{Config: tree.Config{MaxDepth: 4, MinSamplesLeaf: 10}}
-	res, err := ForwardSelect(trainer, train, val, []string{"signal", "noise"}, 0, 1e-3)
+	res, err := ForwardSelectSet(trainer, train, val, []string{"signal", "noise"}, 0, 1e-3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,12 +120,11 @@ func TestForwardSelectFindsInformativeFeature(t *testing.T) {
 }
 
 func TestForwardSelectStopsWithoutGain(t *testing.T) {
-	samples := trendData(600, 4)
-	train, val := samples[:400], samples[400:]
+	train, val := splitViews(t, trendData(600, 4), 400)
 	trainer := &tree.Trainer{Config: tree.Config{MaxDepth: 4, MinSamplesLeaf: 10}}
 	// The noise feature cannot add minGain=0.05 of AUC, so selection
 	// should stop after the signal.
-	res, err := ForwardSelect(trainer, train, val, []string{"signal", "noise"}, 0, 0.05)
+	res, err := ForwardSelectSet(trainer, train, val, []string{"signal", "noise"}, 0, 0.05, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,10 +134,9 @@ func TestForwardSelectStopsWithoutGain(t *testing.T) {
 }
 
 func TestForwardSelectMaxFeatures(t *testing.T) {
-	samples := trendData(400, 5)
-	train, val := samples[:300], samples[300:]
+	train, val := splitViews(t, trendData(400, 5), 300)
 	trainer := &tree.Trainer{Config: tree.Config{MaxDepth: 4, MinSamplesLeaf: 10}}
-	res, err := ForwardSelect(trainer, train, val, []string{"a", "b"}, 1, 0)
+	res, err := ForwardSelectSet(trainer, train, val, []string{"a", "b"}, 1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,61 +146,13 @@ func TestForwardSelectMaxFeatures(t *testing.T) {
 }
 
 func TestForwardSelectValidation(t *testing.T) {
-	samples := trendData(100, 6)
+	samples := setView(t, trendData(100, 6))
 	trainer := &tree.Trainer{}
-	if _, err := ForwardSelect(trainer, samples, samples, []string{"one"}, 0, 0); err == nil {
+	if _, err := ForwardSelectSet(trainer, samples, samples, []string{"one"}, 0, 0, 0); err == nil {
 		t.Fatal("name/width mismatch accepted")
 	}
-	onlyPos := []ml.Sample{{X: []float64{1, 2}, Y: 1}}
-	if _, err := ForwardSelect(trainer, onlyPos, samples, []string{"a", "b"}, 0, 0); err == nil {
+	onlyPos := setView(t, []ml.Sample{{X: []float64{1, 2}, Y: 1}})
+	if _, err := ForwardSelectSet(trainer, onlyPos, samples, []string{"a", "b"}, 0, 0, 0); err == nil {
 		t.Fatal("single-class training set accepted")
-	}
-}
-
-func TestBackwardEliminateDropsNoiseFirst(t *testing.T) {
-	samples := trendData(600, 11)
-	train, val := samples[:400], samples[400:]
-	trainer := &tree.Trainer{Config: tree.Config{MaxDepth: 4, MinSamplesLeaf: 10}}
-	res, err := BackwardEliminate(trainer, train, val, []string{"signal", "noise"}, 1, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The noise feature goes first; the signal survives.
-	if len(res.Steps) == 0 {
-		t.Fatal("nothing eliminated")
-	}
-	if res.Steps[0].FeatureName != "noise" {
-		t.Fatalf("first drop = %q, want the noise", res.Steps[0].FeatureName)
-	}
-	if len(res.Names) != 1 || res.Names[0] != "signal" {
-		t.Fatalf("survivors = %v", res.Names)
-	}
-}
-
-func TestBackwardEliminateRespectsMaxLoss(t *testing.T) {
-	samples := trendData(600, 12)
-	train, val := samples[:400], samples[400:]
-	trainer := &tree.Trainer{Config: tree.Config{MaxDepth: 4, MinSamplesLeaf: 10}}
-	// With zero tolerated loss and minFeatures 1, the signal feature
-	// must never be eliminated (dropping it collapses AUC).
-	res, err := BackwardEliminate(trainer, train, val, []string{"signal", "noise"}, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range res.Steps {
-		if s.FeatureName == "signal" {
-			t.Fatal("signal eliminated despite zero loss budget")
-		}
-	}
-}
-
-func TestBackwardEliminateValidation(t *testing.T) {
-	samples := trendData(100, 13)
-	trainer := &tree.Trainer{}
-	if _, err := BackwardEliminate(trainer, samples, samples, []string{"one"}, 1, 0); err == nil {
-		t.Fatal("name/width mismatch accepted")
-	}
-	if _, err := BackwardEliminate(trainer, samples, samples, []string{"a", "b"}, 5, 0); err == nil {
-		t.Fatal("minFeatures > width accepted")
 	}
 }

@@ -41,8 +41,8 @@ func forestFactory(seed int64) Factory {
 }
 
 // TestGridSearchSetMatchesSlice requires the bin-once view sweep to
-// reproduce the slice sweep's candidates and scores exactly, at any
-// worker count.
+// reproduce the per-candidate slice sweep's candidates and scores
+// exactly, at any worker count.
 func TestGridSearchSetMatchesSlice(t *testing.T) {
 	samples := discreteTrend(420, 3)
 	set, err := ml.FromSamples(samples)
@@ -131,37 +131,6 @@ func TestForwardSelectSetMatchesSlice(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: trajectory = %+v, want %+v", w, got, want)
-		}
-	}
-}
-
-// TestBackwardEliminateSetMatchesSlice requires the view SBS to drop
-// the same features in the same order as the slice implementation.
-func TestBackwardEliminateSetMatchesSlice(t *testing.T) {
-	train := discreteTrend(400, 7)
-	val := discreteTrend(200, 8)
-	names := []string{"a", "b", "c", "d"}
-	trainer := &forest.Trainer{Trees: 12, MaxDepth: 5, Seed: 3, Parallelism: 1}
-
-	want, err := BackwardEliminateWorkers(trainer, train, val, names, 1, 0.02, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trainSet, err := ml.FromSamples(train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	valSet, err := ml.FromSamples(val)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{1, 3} {
-		got, err := BackwardEliminateSet(trainer, trainSet.All(), valSet.All(), names, 1, 0.02, w)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: result = %+v, want %+v", w, got, want)
 		}
 	}
 }

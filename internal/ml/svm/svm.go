@@ -5,9 +5,9 @@
 // scaling that keeps scores monotonic in the margin, which is all the
 // ROC/AUC machinery needs).
 //
-// Inputs should be standardised (see the features package's Scaler);
-// the trainer standardises internally when Standardize is set, so raw
-// SMART counters spanning ten orders of magnitude remain usable.
+// Inputs should be standardised; the trainer standardises internally
+// when Standardize is set, so raw SMART counters spanning ten orders of
+// magnitude remain usable.
 package svm
 
 import (

@@ -55,7 +55,7 @@ func GrowRegressorBinned(m *matrix.BinnedMatrix, ys []float64, weights []int, cf
 //     skipped), so growth state stays O(len(rows)) no matter how large
 //     the shared matrix is.
 //   - features, when non-nil, restricts split search to those feature
-//     columns (the SFS/SBS column sub-view). The per-split sampler
+//     columns (the SFS column sub-view). The per-split sampler
 //     draws from the subset exactly as it would from a masked matrix,
 //     and grown nodes keep global feature indexes, so the tree
 //     predicts on full-width arena rows directly.

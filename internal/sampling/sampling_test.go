@@ -23,12 +23,22 @@ func series(pos, neg int) []ml.Sample {
 	return out
 }
 
-func TestUnderSampleRatio(t *testing.T) {
-	out, err := UnderSample(series(10, 100), 3, 1)
+// viewOf wraps samples in a SampleSet and returns the view of all rows.
+func viewOf(t *testing.T, samples []ml.Sample) ml.View {
+	t.Helper()
+	set, err := ml.FromSamples(samples)
 	if err != nil {
 		t.Fatal(err)
 	}
-	neg, pos := ml.ClassCounts(out)
+	return set.All()
+}
+
+func TestUnderSampleRatio(t *testing.T) {
+	out, err := UnderSampleView(viewOf(t, series(10, 100)), 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	neg, pos := out.ClassCounts()
 	if pos != 10 {
 		t.Fatalf("positives = %d, want all 10", pos)
 	}
@@ -38,42 +48,43 @@ func TestUnderSampleRatio(t *testing.T) {
 }
 
 func TestUnderSampleKeepsOrder(t *testing.T) {
-	out, err := UnderSample(series(5, 50), 2, 7)
+	out, err := UnderSampleView(viewOf(t, series(5, 50)), 2, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < len(out); i++ {
-		if out[i].Day < out[i-1].Day {
+	for i := 1; i < out.Len(); i++ {
+		if out.Day(i) < out.Day(i-1) {
 			t.Fatal("under-sampling reordered samples")
 		}
 	}
 }
 
 func TestUnderSampleFewNegatives(t *testing.T) {
-	out, err := UnderSample(series(10, 5), 3, 1)
+	out, err := UnderSampleView(viewOf(t, series(10, 5)), 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 15 {
-		t.Fatalf("len = %d, want all 15 when negatives are scarce", len(out))
+	if out.Len() != 15 {
+		t.Fatalf("len = %d, want all 15 when negatives are scarce", out.Len())
 	}
 }
 
 func TestUnderSampleDeterministic(t *testing.T) {
-	a, _ := UnderSample(series(10, 100), 3, 42)
-	b, _ := UnderSample(series(10, 100), 3, 42)
-	if len(a) != len(b) {
+	v := viewOf(t, series(10, 100))
+	a, _ := UnderSampleView(v, 3, 42)
+	b, _ := UnderSampleView(v, 3, 42)
+	if a.Len() != b.Len() {
 		t.Fatal("lengths differ")
 	}
-	for i := range a {
-		if a[i].Day != b[i].Day {
+	for i := 0; i < a.Len(); i++ {
+		if a.Day(i) != b.Day(i) {
 			t.Fatal("same seed produced different subsets")
 		}
 	}
-	c, _ := UnderSample(series(10, 100), 3, 43)
+	c, _ := UnderSampleView(v, 3, 43)
 	same := true
-	for i := range a {
-		if a[i].Day != c[i].Day {
+	for i := 0; i < a.Len(); i++ {
+		if a.Day(i) != c.Day(i) {
 			same = false
 			break
 		}
@@ -84,53 +95,43 @@ func TestUnderSampleDeterministic(t *testing.T) {
 }
 
 func TestUnderSampleRejectsBadRatio(t *testing.T) {
-	if _, err := UnderSample(series(1, 1), 0, 1); err == nil {
+	if _, err := UnderSampleView(viewOf(t, series(1, 1)), 0, 1); err == nil {
 		t.Fatal("zero ratio accepted")
 	}
 }
 
 func TestSplitAtDay(t *testing.T) {
-	samples := []ml.Sample{mk(0, 1), mk(0, 5), mk(1, 6), mk(0, 9)}
-	train, test := SplitAtDay(samples, 5)
-	if len(train) != 2 || len(test) != 2 {
-		t.Fatalf("split = %d/%d", len(train), len(test))
+	train, test := SplitAtDayView(viewOf(t, []ml.Sample{mk(0, 1), mk(0, 5), mk(1, 6), mk(0, 9)}), 5)
+	if train.Len() != 2 || test.Len() != 2 {
+		t.Fatalf("split = %d/%d", train.Len(), test.Len())
 	}
-	for _, s := range train {
-		if s.Day > 5 {
-			t.Fatal("future sample in training set")
-		}
+	if train.MaxDay() > 5 {
+		t.Fatal("future sample in training set")
 	}
 }
 
 func TestSplitFractionChronological(t *testing.T) {
-	samples := []ml.Sample{mk(0, 9), mk(0, 1), mk(0, 5), mk(0, 3)}
-	train, test := SplitFraction(samples, 0.5)
-	if len(train) != 2 || len(test) != 2 {
-		t.Fatalf("split = %d/%d", len(train), len(test))
+	train, test := SplitFractionView(viewOf(t, []ml.Sample{mk(0, 9), mk(0, 1), mk(0, 5), mk(0, 3)}), 0.5)
+	if train.Len() != 2 || test.Len() != 2 {
+		t.Fatalf("split = %d/%d", train.Len(), test.Len())
 	}
-	maxTrain := 0
-	for _, s := range train {
-		if s.Day > maxTrain {
-			maxTrain = s.Day
-		}
-	}
-	for _, s := range test {
-		if s.Day < maxTrain {
-			t.Fatalf("test sample day %d before train max %d", s.Day, maxTrain)
+	maxTrain := train.MaxDay()
+	for i := 0; i < test.Len(); i++ {
+		if test.Day(i) < maxTrain {
+			t.Fatalf("test sample day %d before train max %d", test.Day(i), maxTrain)
 		}
 	}
 }
 
 func TestRandomSplitSizes(t *testing.T) {
-	train, test := RandomSplit(series(10, 10), 0.25, 1)
-	if len(test) != 5 || len(train) != 15 {
-		t.Fatalf("split = %d/%d", len(train), len(test))
+	train, test := RandomSplitView(viewOf(t, series(10, 10)), 0.25, 1)
+	if test.Len() != 5 || train.Len() != 15 {
+		t.Fatalf("split = %d/%d", train.Len(), test.Len())
 	}
 }
 
 func TestTimeSeriesCVNeverTrainsOnFuture(t *testing.T) {
-	samples := series(20, 20)
-	folds, err := TimeSeriesCV(samples, 4)
+	folds, err := TimeSeriesCVView(viewOf(t, series(20, 20)), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,32 +139,28 @@ func TestTimeSeriesCVNeverTrainsOnFuture(t *testing.T) {
 		t.Fatalf("folds = %d, want 4", len(folds))
 	}
 	for fi, fold := range folds {
-		maxTrain := -1
-		for _, s := range fold.Train {
-			if s.Day > maxTrain {
-				maxTrain = s.Day
-			}
-		}
-		for _, s := range fold.Val {
-			if s.Day < maxTrain {
-				t.Fatalf("fold %d: validation day %d before training day %d", fi, s.Day, maxTrain)
+		maxTrain := fold.Train.MaxDay()
+		for i := 0; i < fold.Val.Len(); i++ {
+			if fold.Val.Day(i) < maxTrain {
+				t.Fatalf("fold %d: validation day %d before training day %d", fi, fold.Val.Day(i), maxTrain)
 			}
 		}
 	}
 }
 
 func TestTimeSeriesCVErrors(t *testing.T) {
-	if _, err := TimeSeriesCV(series(1, 1), 0); err == nil {
+	v := viewOf(t, series(1, 1))
+	if _, err := TimeSeriesCVView(v, 0); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := TimeSeriesCV(series(1, 1), 5); err == nil {
+	if _, err := TimeSeriesCVView(v, 5); err == nil {
 		t.Fatal("too few samples accepted")
 	}
 }
 
 func TestKFoldCVPartitions(t *testing.T) {
-	samples := series(6, 6)
-	folds, err := KFoldCV(samples, 3, 1)
+	v := viewOf(t, series(6, 6))
+	folds, err := KFoldCVView(v, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,21 +169,21 @@ func TestKFoldCVPartitions(t *testing.T) {
 	}
 	totalVal := 0
 	for _, f := range folds {
-		totalVal += len(f.Val)
-		if len(f.Train)+len(f.Val) != len(samples) {
+		totalVal += f.Val.Len()
+		if f.Train.Len()+f.Val.Len() != v.Len() {
 			t.Fatal("fold does not cover the sample set")
 		}
 	}
-	if totalVal != len(samples) {
-		t.Fatalf("validation folds cover %d samples, want %d", totalVal, len(samples))
+	if totalVal != v.Len() {
+		t.Fatalf("validation folds cover %d samples, want %d", totalVal, v.Len())
 	}
 }
 
 func TestKFoldCVErrors(t *testing.T) {
-	if _, err := KFoldCV(series(1, 1), 1, 1); err == nil {
+	if _, err := KFoldCVView(viewOf(t, series(1, 1)), 1, 1); err == nil {
 		t.Fatal("k=1 accepted")
 	}
-	if _, err := KFoldCV(series(1, 0), 3, 1); err == nil {
+	if _, err := KFoldCVView(viewOf(t, series(1, 0)), 3, 1); err == nil {
 		t.Fatal("too few samples accepted")
 	}
 }
@@ -198,15 +195,16 @@ func TestChunkProperty(t *testing.T) {
 		if n < k {
 			n = k
 		}
-		subsets := chunk(series(n/2, n-n/2), k)
-		total := 0
-		for i, sub := range subsets {
-			total += len(sub)
-			if i > 0 && len(sub) > len(subsets[i-1]) {
+		bounds := chunkBounds(n, k)
+		if len(bounds) != k+1 || bounds[0] != 0 || bounds[k] != n {
+			return false
+		}
+		for i := 1; i < k; i++ {
+			if bounds[i+1]-bounds[i] > bounds[i]-bounds[i-1] {
 				return false // earlier chunks must be at least as large
 			}
 		}
-		return total == n
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -123,8 +124,10 @@ func TestUnderSampleViewRejectsBadRatio(t *testing.T) {
 	if _, err := UnderSampleView(set.All(), 0, 1); err == nil {
 		t.Fatal("ratio 0 accepted")
 	}
-	if _, err := UnderSampleView(set.All(), -2, 1); err == nil {
-		t.Fatal("negative ratio accepted")
+	for _, ratio := range []float64{-2, math.NaN(), math.Inf(1)} {
+		if _, err := UnderSampleView(set.All(), ratio, 1); err == nil {
+			t.Fatalf("ratio %g accepted", ratio)
+		}
 	}
 }
 
