@@ -73,8 +73,6 @@ func main() {
 		predictTrain = flag.Int("predict-train-rows", 50000, "training rows of the wide scoring workload")
 		predictProbe = flag.Int("predict-probe-rows", 100000, "probe rows of the wide scoring workload")
 
-		serveOut = flag.String("serve-out", "BENCH_serve.json", "serving report path (empty disables the incremental scoring benchmarks)")
-
 		ioOut = flag.String("io-out", "BENCH_io.json", "telemetry container report path (empty disables the CSV-vs-MFPAC benchmarks)")
 
 		// Pre-refactor BenchmarkForestTrain numbers, measured at the
@@ -156,10 +154,6 @@ func main() {
 		fmt.Printf("scoring benchmarks: wide %d train / %d probe rows, fleet %d train / %d probe rows\n",
 			*predictTrain, *predictProbe, len(train), len(allSamples))
 		runPredictBench(*predictOut, *predictTrain, *predictProbe, train, allSamples)
-	}
-
-	if *serveOut != "" {
-		runServeBench(*serveOut, *scale)
 	}
 
 	if *ioOut != "" {

@@ -1,9 +1,9 @@
 // Agent: the paper's deployment scenario end to end — the fleet side
 // trains an MFPA model and serialises it; the client side loads it into
-// a lightweight agent that scores each day's telemetry locally
-// (microsecond predictions), raises a backup alarm with hysteresis, and
-// accepts a pushed model update (the paper re-iterates every two
-// months).
+// the online scoring engine, which scores each day's telemetry record
+// locally (microsecond predictions) under the model's own gap policy,
+// raises a backup alarm with hysteresis, and accepts a pushed model
+// update (the paper re-iterates every two months).
 //
 //	go run ./examples/agent
 package main
@@ -14,8 +14,9 @@ import (
 	"sort"
 
 	"repro"
-	"repro/internal/agent"
+	"repro/internal/dataset"
 	"repro/internal/modelio"
+	"repro/internal/serve"
 )
 
 func main() {
@@ -39,19 +40,19 @@ func main() {
 	fmt.Printf("fleet side: trained %s (TPR %.1f%%, FPR %.2f%%), model blob %.1f KB\n",
 		model.TrainerName, report.Eval.TPR()*100, report.Eval.FPR()*100, float64(len(blob))/1024)
 
-	// ---- Client side: load the published model into an agent. ----
+	// ---- Client side: load the published model into a scorer. ----
 	deployed, err := modelio.Unmarshal(blob)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ag, err := agent.New(deployed, agent.Options{AlarmAfter: 2, Explain: true})
+	sc, err := serve.New(deployed, serve.Options{AlarmAfter: 2, Explain: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("client side: agent ready (threshold %.3f, alarm after 2 consecutive flags)\n\n", ag.Threshold())
+	fmt.Printf("client side: scorer ready (threshold %.3f, alarm after 2 consecutive flags)\n\n", sc.Threshold())
 
-	// Replay one failing drive's daily telemetry through the agent, as
-	// the on-machine monitor would see it.
+	// Replay one failing drive's daily telemetry through the scorer one
+	// record at a time, as the on-machine monitor would see it.
 	var sn string
 	var failDay int
 	sns := make([]string, 0, len(fleet.Truth))
@@ -70,16 +71,20 @@ func main() {
 	fmt.Printf("replaying drive %s (dies day %d):\n", sn, failDay)
 	alarmDay := -1
 	for i := range series.Records {
-		as, err := ag.Observe(series.Records[i])
+		// A record after a short gap also returns the mean-filled days
+		// before it; any of them may raise the alarm.
+		out, _, err := sc.ObserveDay([]dataset.Record{series.Records[i]})
 		if err != nil {
 			log.Fatal(err)
 		}
-		if as.Alarmed && alarmDay == -1 {
-			alarmDay = as.Day
-			fmt.Printf("  day %3d: P(faulty)=%.3f  ALARM — start backup & RMA (%d days before failure)\n",
-				as.Day, as.Probability, failDay-as.Day)
-			for _, f := range as.TopFactors {
-				fmt.Printf("           because %-8s contributed +%.3f\n", f.Feature, f.Contribution)
+		for _, as := range out {
+			if as.Alarmed && alarmDay == -1 {
+				alarmDay = as.Day
+				fmt.Printf("  day %3d: P(faulty)=%.3f  ALARM — start backup & RMA (%d days before failure)\n",
+					as.Day, as.Probability, failDay-as.Day)
+				for _, f := range as.TopFactors {
+					fmt.Printf("           because %-8s contributed +%.3f\n", f.Feature, f.Contribution)
+				}
 			}
 		}
 	}
@@ -102,8 +107,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := ag.UpdateModel(pushed); err != nil {
+	if err := sc.UpdateModel(pushed); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nmodel update pushed and applied (new threshold %.3f)\n", ag.Threshold())
+	fmt.Printf("\nmodel update pushed and applied (new threshold %.3f)\n", sc.Threshold())
 }

@@ -2,15 +2,16 @@ package mfpa
 
 // End-to-end integration test across the whole stack: simulate a fleet,
 // train per-vendor models through the fleet service, publish envelopes,
-// load them into client agents, and verify the agents catch failing
+// load them into a client-side scorer, and verify it catches failing
 // drives on live telemetry — the complete loop of the paper's Fig. 1.
 
 import (
 	"testing"
 
-	"repro/internal/agent"
+	"repro/internal/dataset"
 	"repro/internal/fleetops"
 	"repro/internal/modelio"
+	"repro/internal/serve"
 	"repro/internal/simfleet"
 )
 
@@ -47,11 +48,27 @@ func TestFullDeploymentLoop(t *testing.T) {
 	}
 
 	// Client side: replay raw telemetry of drives that fail *after* the
-	// training cutoff; the agent must alarm on most of them before
-	// death and stay quiet on healthy machines.
-	ag, err := agent.New(deployed, agent.Options{AlarmAfter: 2, Explain: true})
+	// training cutoff, one record per call as an on-machine monitor
+	// sees it; the scorer must alarm on most of them before death and
+	// stay quiet on healthy machines.
+	sc, err := serve.New(deployed, serve.Options{AlarmAfter: 2, Explain: true})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// alarmed streams a drive's records until its alarm latches.
+	alarmed := func(series *dataset.DriveSeries) (bool, []serve.Factor) {
+		for i := range series.Records {
+			out, _, err := sc.ObserveDay([]dataset.Record{series.Records[i]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, as := range out {
+				if as.Alarmed {
+					return true, as.TopFactors
+				}
+			}
+		}
+		return false, nil
 	}
 	var futureFaulty, caught int
 	var healthySeen, healthyAlarmed int
@@ -66,40 +83,28 @@ func TestFullDeploymentLoop(t *testing.T) {
 		switch {
 		case truth.Kind == "faulty" && truth.FailDay > 100:
 			futureFaulty++
-			for i := range series.Records {
-				as, err := ag.Observe(series.Records[i])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if as.Alarmed {
-					caught++
-					if len(as.TopFactors) == 0 {
-						t.Error("alarm without explanation despite Explain option")
-					}
-					break
+			if ok, factors := alarmed(series); ok {
+				caught++
+				if len(factors) == 0 {
+					t.Error("alarm without explanation despite Explain option")
 				}
 			}
 		case truth.Kind == "healthy" && healthySeen < 60:
 			healthySeen++
-			for i := range series.Records {
-				as, err := ag.Observe(series.Records[i])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if as.Alarmed {
-					healthyAlarmed++
-					break
-				}
+			if ok, _ := alarmed(series); ok {
+				healthyAlarmed++
 			}
 		}
 	}
 	if futureFaulty == 0 {
 		t.Skip("no post-cutoff failures in this tiny fleet")
 	}
+	t.Logf("caught %d of %d post-cutoff failures; alarmed on %d of %d healthy drives",
+		caught, futureFaulty, healthyAlarmed, healthySeen)
 	if rate := float64(caught) / float64(futureFaulty); rate < 0.6 {
-		t.Fatalf("agent caught %d of %d post-cutoff failures", caught, futureFaulty)
+		t.Fatalf("scorer caught %d of %d post-cutoff failures", caught, futureFaulty)
 	}
 	if healthySeen > 0 && float64(healthyAlarmed)/float64(healthySeen) > 0.1 {
-		t.Fatalf("agent alarmed on %d of %d healthy drives", healthyAlarmed, healthySeen)
+		t.Fatalf("scorer alarmed on %d of %d healthy drives", healthyAlarmed, healthySeen)
 	}
 }

@@ -157,10 +157,8 @@ func (st *RollingState) Window() WindowStats {
 // only advances state — the bulk catch-up fast path. Records must
 // arrive in strictly increasing day order.
 //
-// policy is the discontinuity optimisation: the zero value disables it
-// (every record emits exactly one row — the pure-cumulate behaviour of
-// the original client agent); any other value must satisfy
-// policy.Validate and reproduces the offline dataset.PreparePipeline
+// policy is the discontinuity optimisation and must satisfy
+// policy.Validate; it reproduces the offline dataset.PreparePipeline
 // semantics, including marking the drive Dropped (after which no rows
 // are emitted).
 func (st *RollingState) Advance(e *Extractor, policy dataset.GapPolicy, rec *dataset.Record, x []float64, meta []EmittedRow) ([]float64, []EmittedRow, error) {
@@ -178,10 +176,8 @@ func (st *RollingState) AdvanceRow(e *Extractor, policy dataset.GapPolicy, sn, v
 
 func (st *RollingState) advance(e *Extractor, policy dataset.GapPolicy, sn, vendor string, day int,
 	smart []float64, fw firmware.Version, w, b []float64, x []float64, meta []EmittedRow) ([]float64, []EmittedRow, error) {
-	if policy != (dataset.GapPolicy{}) {
-		if err := policy.Validate(); err != nil {
-			return x, meta, err
-		}
+	if err := policy.Validate(); err != nil {
+		return x, meta, err
 	}
 	if len(smart) != smartattr.Count {
 		return x, meta, fmt.Errorf("features: drive %s: %d SMART values, want %d", sn, len(smart), smartattr.Count)
@@ -206,7 +202,7 @@ func (st *RollingState) advance(e *Extractor, policy dataset.GapPolicy, sn, vend
 				sn, len(w), len(b), len(st.cumW), len(st.cumB))
 		}
 		gap := day - st.lastDay
-		if policy.DropGap > 0 && gap >= policy.DropGap {
+		if gap >= policy.DropGap {
 			st.dropped = true
 			st.lastDay = day
 			st.observed++
@@ -303,7 +299,7 @@ func (st *RollingState) emit(e *Extractor, vendor string, day int, smart []float
 }
 
 // RollingSnapshot is the serialisable form of a RollingState, used by
-// the agent's persisted state (consumer machines reboot constantly).
+// the scorer's persisted state (consumer machines reboot constantly).
 // Ring entries are ordered oldest to newest.
 type RollingSnapshot struct {
 	LastDay      int       `json:"last_day"`

@@ -269,46 +269,10 @@ func TestRollingAdvanceRowMatchesBuildSampleSetFrame(t *testing.T) {
 	}
 }
 
-// TestRollingZeroPolicyIsPureCumulate pins the zero gap policy to the
-// original agent semantics: one row per record, cumulates matching
-// the cumulate-only pipeline with gaps ignored.
-func TestRollingZeroPolicyIsPureCumulate(t *testing.T) {
-	raw := randomRawFleet(t, 11, 6)
-	cum := preparedRecords(t, raw, dataset.PipelineOptions{SkipClean: true})
-	ext, err := NewExtractor(GroupSFWB, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ext.PrimeFrame(frameOf(t, raw))
-	raw.Each(func(s *dataset.DriveSeries) {
-		ref, _ := cum.Series(s.SerialNumber)
-		st := NewRollingState()
-		x := make([]float64, 0, ext.Width())
-		var meta []EmittedRow
-		for i := range s.Records {
-			var err error
-			x, meta, err = st.Advance(ext, dataset.GapPolicy{}, &s.Records[i], x[:0], meta[:0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(meta) != 1 || meta[0].Interpolated {
-				t.Fatalf("drive %s record %d: zero policy emitted %d rows", s.SerialNumber, i, len(meta))
-			}
-			want := ext.Extract(&ref.Records[i])
-			if !bitsEqual(x, want) {
-				t.Fatalf("drive %s record %d: pure-cumulate bits diverge", s.SerialNumber, i)
-			}
-		}
-		if st.Dropped() {
-			t.Fatalf("drive %s: zero policy dropped a drive", s.SerialNumber)
-		}
-	})
-}
-
 // TestRollingSnapshotRoundTrip: persisting mid-stream (including right
 // before a mean-filled gap, which needs the previous raw observation)
 // and restoring must continue bit-identically to the uninterrupted
-// state, through JSON like the agent's state file.
+// state, through JSON like the scorer's state file.
 func TestRollingSnapshotRoundTrip(t *testing.T) {
 	policy := dataset.DefaultGapPolicy()
 	raw := randomRawFleet(t, 13, 8)
@@ -390,7 +354,7 @@ func TestRollingWindowStats(t *testing.T) {
 		rec.WCounts[0] = float64(day) // daily W total = day
 		rec.BCounts[1] = 2            // daily B total = 2
 		rec.Smart.Set(smartattr.MediaErrors, float64(10*day))
-		x, meta, err = st.Advance(ext, dataset.GapPolicy{}, &rec, x[:0], meta[:0])
+		x, meta, err = st.Advance(ext, dataset.DefaultGapPolicy(), &rec, x[:0], meta[:0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -429,14 +393,14 @@ func TestRollingAdvanceRejectsOutOfOrder(t *testing.T) {
 	}
 	x := make([]float64, 0, ext.Width())
 	var meta []EmittedRow
-	if x, meta, err = st.Advance(ext, dataset.GapPolicy{}, &rec, x, meta); err != nil {
+	if x, meta, err = st.Advance(ext, dataset.DefaultGapPolicy(), &rec, x, meta); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := st.Advance(ext, dataset.GapPolicy{}, &rec, x[:0], meta[:0]); err == nil {
+	if _, _, err := st.Advance(ext, dataset.DefaultGapPolicy(), &rec, x[:0], meta[:0]); err == nil {
 		t.Fatal("same-day record accepted")
 	}
 	rec.Day = 4
-	if _, _, err := st.Advance(ext, dataset.GapPolicy{}, &rec, x[:0], meta[:0]); err == nil {
+	if _, _, err := st.Advance(ext, dataset.DefaultGapPolicy(), &rec, x[:0], meta[:0]); err == nil {
 		t.Fatal("out-of-order record accepted")
 	}
 }

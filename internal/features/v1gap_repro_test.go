@@ -9,7 +9,7 @@ import (
 	"repro/internal/winevent"
 )
 
-// Reproduction: v1 agent state reconstructed via RollingFromSnapshot
+// Reproduction: v1 scorer state reconstructed via RollingFromSnapshot
 // (cumulates only, no PrevW/PrevB/PrevSmart), then a record with a
 // fillable gap under an active gap policy.
 func TestV1SnapshotThenFillGap(t *testing.T) {

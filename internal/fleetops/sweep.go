@@ -14,32 +14,23 @@ import (
 // one serve.Scorer whose per-drive rolling state persists across days
 // and model iterations.
 
-// SweepStats summarises one SweepDay pass.
+// SweepStats summarises one SweepDay pass: the scorers' batch counters
+// summed over the vendors with a trained model (Records counts only
+// their records), plus the service's own counters.
 type SweepStats struct {
-	// Records is how many input records were scored (drives with a
-	// trained vendor model).
-	Records int
-	// Scored is how many assessments were produced (mean-filled days
-	// included, dropped entries excluded).
-	Scored int
-	// Flagged and Alarmed count assessments with those outcomes.
-	Flagged int
-	Alarmed int
-	// Dropped counts records of gap-policy-excluded drives.
-	Dropped int
+	serve.SweepStats
 	// NoModel counts records skipped because their vendor has no
 	// trained model yet.
 	NoModel int
-	// Quarantined counts records that newly quarantined their drive;
-	// Skipped counts records consumed while their drive was already
-	// quarantined.
-	Quarantined int
-	Skipped     int
-	// Degraded counts rows scored by a vendor's fallback detector
-	// because its scoring backend failed for the day.
-	Degraded int
 	// Retries counts transient batch failures that were retried away.
 	Retries int
+}
+
+// Add accumulates o into st, for callers summing several sweeps.
+func (st *SweepStats) Add(o SweepStats) {
+	st.SweepStats.Add(o.SweepStats)
+	st.NoModel += o.NoModel
+	st.Retries += o.Retries
 }
 
 // EnsureScorer returns the vendor's sweep scorer, creating it from the
@@ -128,25 +119,7 @@ func (s *Service) SweepDay(recs []dataset.Record, opts serve.Options) ([]serve.A
 		if err != nil {
 			return nil, stats, fmt.Errorf("fleetops: vendor %s sweep: %w", v, err)
 		}
-		stats.Records += len(batch)
-		stats.Quarantined += sst.Quarantined
-		stats.Skipped += sst.Skipped
-		stats.Degraded += sst.Degraded
-		for i := range as {
-			if as[i].Dropped || as[i].Quarantined {
-				if as[i].Dropped {
-					stats.Dropped++
-				}
-				continue
-			}
-			stats.Scored++
-			if as[i].Flagged {
-				stats.Flagged++
-			}
-			if as[i].Alarmed {
-				stats.Alarmed++
-			}
-		}
+		stats.SweepStats.Add(sst)
 		out = append(out, as...)
 	}
 	return out, stats, nil

@@ -79,8 +79,7 @@ func TestSweepDayAfterBootstrap(t *testing.T) {
 				t.Fatalf("day %d: implausible assessment %+v", day, as[i])
 			}
 		}
-		total.Scored += st.Scored
-		total.Records += st.Records
+		total.Add(st)
 	}
 	if total.Scored == 0 || total.Records == 0 {
 		t.Fatal("sweep scored nothing")

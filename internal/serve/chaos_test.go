@@ -24,12 +24,7 @@ func runDaysStats(t *testing.T, s *Scorer, batches [][]dataset.Record) ([]Assess
 			t.Fatalf("stats.Records = %d for a %d-record batch", got, len(batch))
 		}
 		out = append(out, as...)
-		total.Records += st.Records
-		total.Scored += st.Scored
-		total.Dropped += st.Dropped
-		total.Quarantined += st.Quarantined
-		total.Skipped += st.Skipped
-		total.Degraded += st.Degraded
+		total.Add(st)
 	}
 	return out, total
 }
@@ -110,12 +105,7 @@ func TestCorruptionCampaignIsolatesDrives(t *testing.T) {
 				}
 			}
 			got = append(got, as...)
-			stats.Records += st.Records
-			stats.Scored += st.Scored
-			stats.Dropped += st.Dropped
-			stats.Quarantined += st.Quarantined
-			stats.Skipped += st.Skipped
-			stats.Degraded += st.Degraded
+			stats.Add(st)
 		}
 
 		// Every quarantined drive must have been touched by the
@@ -169,7 +159,7 @@ func TestCorruptionCampaignIsolatesDrives(t *testing.T) {
 		}
 		for i := range got {
 			a, b := got[i], firstAs[i]
-			if a != b {
+			if !reflect.DeepEqual(a, b) {
 				t.Fatalf("workers=%d shards=%d: assessment %d differs: %+v vs %+v", tc.workers, tc.shards, i, a, b)
 			}
 		}
@@ -280,7 +270,7 @@ func TestObserveFaultIsRetrySafe(t *testing.T) {
 		t.Fatalf("%d assessments after retries, clean run had %d", len(got), len(want))
 	}
 	for i := range got {
-		if got[i] != want[i] {
+		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Fatalf("assessment %d: %+v vs clean %+v", i, got[i], want[i])
 		}
 	}
@@ -311,7 +301,7 @@ func TestSwapFaultKeepsModelServing(t *testing.T) {
 	}
 	got = append(got, runDays(t, s, batches[1:2])...)
 	for i := range got {
-		if got[i] != want[i] {
+		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Fatalf("assessment %d after failed swap: %+v vs %+v", i, got[i], want[i])
 		}
 	}
@@ -510,9 +500,199 @@ func TestMidSessionOpsDeterministic(t *testing.T) {
 			t.Fatalf("workers=%d shards=%d: %d assessments, serial run had %d", tc.workers, tc.shards, len(got), len(first))
 		}
 		for i := range got {
-			if got[i] != first[i] {
+			if !reflect.DeepEqual(got[i], first[i]) {
 				t.Fatalf("workers=%d shards=%d: assessment %d differs: %+v vs %+v", tc.workers, tc.shards, i, got[i], first[i])
 			}
+		}
+	}
+}
+
+// bySerial groups assessments per drive, keeping each drive's order.
+func bySerial(as []Assessment) map[string][]Assessment {
+	out := make(map[string][]Assessment)
+	for _, a := range as {
+		out[a.SerialNumber] = append(out[a.SerialNumber], a)
+	}
+	return out
+}
+
+// TestObserveDayNaNQuarantinesOnlyItsDrive: a NaN record partway
+// through a batch quarantines only its drive; every other drive's
+// assessments, on that day and all later ones, are bit-identical to a
+// clean feed.
+func TestObserveDayNaNQuarantinesOnlyItsDrive(t *testing.T) {
+	fleet, model, regs := setup(t)
+	batches := dayBatches(fleet, "I")
+	if len(batches[0]) < 3 {
+		t.Skip("fleet too small for a mixed batch")
+	}
+	dirty := append([][]dataset.Record(nil), batches...)
+	dirty[0] = append([]dataset.Record(nil), batches[0]...)
+	mid := len(dirty[0]) / 2
+	bad := dirty[0][mid].SerialNumber
+	dirty[0][mid] = dirty[0][mid].Clone()
+	dirty[0][mid].Smart[0] = math.NaN()
+
+	clean, err := New(model, Options{Registries: regs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bySerial(runDays(t, clean, batches))
+	s, err := New(model, Options{Registries: regs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := bySerial(runDays(t, s, dirty))
+
+	if e, ok := s.Quarantined(bad); !ok || e.Reason != QuarantineBadValue {
+		t.Fatalf("NaN drive ledger entry %+v, %v", e, ok)
+	}
+	if ledger := s.QuarantineReasons(); len(ledger) != 1 {
+		t.Fatalf("ledger holds %d drives, want only the NaN drive", len(ledger))
+	}
+	for _, a := range got[bad] {
+		if !a.Quarantined {
+			t.Fatalf("NaN drive scored: %+v", a)
+		}
+	}
+	delete(got, bad)
+	delete(want, bad)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("a NaN record changed other drives' assessments")
+	}
+}
+
+// TestChaosBatchShapeInvariance feeds the same corrupted telemetry in
+// three batch shapes — day-major batches, one record per call, and one
+// drive's whole series per call — and requires identical per-drive
+// assessments (explanations included), quarantine ledger and summed
+// sweep stats, at workers 1 and N and shards 1 and 32.
+func TestChaosBatchShapeInvariance(t *testing.T) {
+	fleet, model, regs := setup(t)
+	dirty, clog := corruptBatches(dayBatches(fleet, "I"), 29, 0.02)
+	if len(clog) == 0 {
+		t.Fatal("campaign injected nothing; raise the rate")
+	}
+	var stream []dataset.Record
+	for _, b := range dirty {
+		stream = append(stream, b...)
+	}
+	var perRecord, perDrive [][]dataset.Record
+	seriesOf := make(map[string]int)
+	for _, rec := range stream {
+		perRecord = append(perRecord, []dataset.Record{rec})
+		i, ok := seriesOf[rec.SerialNumber]
+		if !ok {
+			i = len(perDrive)
+			seriesOf[rec.SerialNumber] = i
+			perDrive = append(perDrive, nil)
+		}
+		perDrive[i] = append(perDrive[i], rec)
+	}
+	shapes := []struct {
+		name    string
+		batches [][]dataset.Record
+	}{{"day-major", dirty}, {"per-record", perRecord}, {"per-drive", perDrive}}
+
+	var firstAs map[string][]Assessment
+	var firstLedger []QuarantineEntry
+	var firstStats SweepStats
+	for _, tc := range []struct{ workers, shards int }{{1, 1}, {1, 32}, {0, 32}} {
+		for _, shape := range shapes {
+			s, err := New(model, Options{Workers: tc.workers, Shards: tc.shards, Registries: regs, Explain: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			as, stats := runDaysStats(t, s, shape.batches)
+			flagged, alarmed := 0, 0
+			for _, a := range as {
+				if a.Flagged {
+					flagged++
+				}
+				if a.Alarmed && !a.Dropped && !a.Quarantined {
+					alarmed++
+				}
+			}
+			if stats.Flagged != flagged || stats.Alarmed != alarmed {
+				t.Fatalf("workers=%d shards=%d %s: stats count %d flagged / %d alarmed, assessments %d / %d",
+					tc.workers, tc.shards, shape.name, stats.Flagged, stats.Alarmed, flagged, alarmed)
+			}
+			got, ledger := bySerial(as), s.QuarantineReasons()
+			if firstAs == nil {
+				if len(ledger) == 0 || flagged == 0 {
+					t.Fatalf("fixture quarantined %d drives and flagged %d rows; nothing to compare", len(ledger), flagged)
+				}
+				firstAs, firstLedger, firstStats = got, ledger, stats
+				continue
+			}
+			if !reflect.DeepEqual(ledger, firstLedger) {
+				t.Fatalf("workers=%d shards=%d %s: ledger differs", tc.workers, tc.shards, shape.name)
+			}
+			if !reflect.DeepEqual(got, firstAs) {
+				t.Fatalf("workers=%d shards=%d %s: per-drive assessments differ", tc.workers, tc.shards, shape.name)
+			}
+			if stats != firstStats {
+				t.Fatalf("workers=%d shards=%d %s: stats %+v, first run %+v", tc.workers, tc.shards, shape.name, stats, firstStats)
+			}
+		}
+	}
+}
+
+// TestReplayFrameStrictFirmwareQuarantine: under StrictFirmware a
+// history drive with a version missing from its vendor's registry is
+// quarantined by ReplayFrame exactly as ObserveDay would, so bootstrap
+// plus sweep ends with the ledger of sweeping every day from scratch.
+func TestReplayFrameStrictFirmwareQuarantine(t *testing.T) {
+	fleet, model, regs := setup(t)
+	batches := dayBatches(fleet, "I")
+	splitIdx := len(batches) - 7
+	dirty := append([][]dataset.Record(nil), batches...)
+	dirty[5] = append([]dataset.Record(nil), batches[5]...)
+	bad := dirty[5][0].SerialNumber
+	dirty[5][0] = dirty[5][0].Clone()
+	dirty[5][0].Firmware = firmware.Version("99.99.99-bogus")
+	opts := Options{Registries: regs, StrictFirmware: true}
+
+	scratch, err := New(model, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runDays(t, scratch, dirty)
+	want := scratch.QuarantineReasons()
+	if e, ok := scratch.Quarantined(bad); !ok || e.Reason != QuarantineUnknownFirmware {
+		t.Fatalf("sweep ledger entry %+v, %v", e, ok)
+	}
+
+	hist := dataset.New()
+	for _, b := range dirty[:splitIdx] {
+		for i := range b {
+			if err := hist.Append(b[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	frame, err := dataset.FrameFromDataset(hist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boot, err := New(model, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := boot.ReplayFrame(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := runDays(t, boot, dirty[splitIdx:])
+	if got := boot.QuarantineReasons(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("bootstrap ledger %+v, from-scratch ledger %+v", got, want)
+	}
+	if st.Quarantined != 1 {
+		t.Fatalf("replay stats %+v, want the bogus-firmware drive quarantined", st)
+	}
+	for _, a := range bySerial(tail)[bad] {
+		if !a.Quarantined {
+			t.Fatalf("bogus-firmware drive scored after bootstrap: %+v", a)
 		}
 	}
 }

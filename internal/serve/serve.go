@@ -1,25 +1,30 @@
-// Package serve is the fleet-side daily scoring engine — the serving
-// counterpart of the offline pipeline speedups. Where the client agent
-// scores one record at a time, the Scorer ingests a whole day of fleet
-// telemetry at once: drives are sharded by serial hash across
+// Package serve is the online scoring engine, for a fleet service and
+// a single machine alike. The Scorer ingests a batch of telemetry — a
+// whole day of fleet records, or one record from a local collector —
+// in one pass: drives are sharded by serial hash across
 // internal/parallel workers, each shard advances its drives'
-// RollingStates and accumulates the day's feature rows into a pooled
-// flat arena, the whole day is scored through ml.ScoreBatch in one
-// call (hitting the flattened batch kernel), and per-shard results are
-// merged back into input order deterministically. Feature rows and
-// scores are bit-identical to the offline
-// PreparePipeline→BuildSampleSetFrame path at any worker or shard
-// count.
+// RollingStates under the model's own gap policy and accumulates the
+// batch's feature rows into a pooled flat arena, the rows are scored
+// through ml.ScoreBatch in one call (hitting the flattened batch
+// kernel), and per-shard results are merged back into input order
+// deterministically. Feature rows and scores are bit-identical to the
+// offline PreparePipeline→BuildSampleSetFrame path at any worker or
+// shard count, and at any batch shape.
 //
 // Production telemetry is messy, so the scorer is fail-soft, not
 // fail-stop. A record that fails validation or feature extraction
 // quarantines that drive — with a typed reason — instead of aborting
-// the fleet sweep; the rest of the day scores bit-identically to a run
+// the sweep; the rest of the batch scores bit-identically to a run
 // that never saw the bad record. A scoring-backend failure degrades
 // the day onto the vendor SMART-threshold detector instead of losing
 // it, and the scorer recovers by itself on the next healthy sweep.
 // Quarantine decisions are made per drive in input order, so the
 // ledger is deterministic at any worker or shard count.
+//
+// Consumer machines reboot constantly, so the per-drive state —
+// rolling cumulates, flag runs, alarm latches and quarantine entries —
+// checkpoints through SaveStateFile and restores at startup with
+// LoadStateFile.
 package serve
 
 import (
@@ -74,6 +79,12 @@ type Options struct {
 	// Registries supplies per-vendor firmware ladders; nil falls back
 	// to first-seen-order encoding.
 	Registries map[string]*firmware.Registry
+	// Explain attaches the top three positive feature contributions to
+	// flagged assessments when the model supports decision-path
+	// attribution (the random forest does). Costs one extra tree walk
+	// per flagged row; rows scored by the degraded fallback are never
+	// explained.
+	Explain bool
 	// StrictFirmware quarantines records whose firmware version is
 	// absent from their vendor's registry instead of minting a
 	// first-seen code — the right setting when registries are complete
@@ -153,6 +164,34 @@ type SweepStats struct {
 	// Degraded is how many rows were scored by the fallback detector
 	// because the scoring backend failed (0 on healthy days).
 	Degraded int
+	// Flagged and Alarmed count scored rows whose assessment is
+	// flagged, and whose drive's alarm has latched.
+	Flagged int
+	Alarmed int
+}
+
+// Add accumulates o into st, for callers summing several batches.
+func (st *SweepStats) Add(o SweepStats) {
+	st.Records += o.Records
+	st.Scored += o.Scored
+	st.Dropped += o.Dropped
+	st.Quarantined += o.Quarantined
+	st.Skipped += o.Skipped
+	st.Degraded += o.Degraded
+	st.Flagged += o.Flagged
+	st.Alarmed += o.Alarmed
+}
+
+// Factor is one feature's contribution to a flagged prediction.
+type Factor struct {
+	Feature      string
+	Contribution float64
+}
+
+// explainer is satisfied by models with faithful per-prediction
+// attribution (forest.Model).
+type explainer interface {
+	Explain(x []float64) (contributions []float64, bias float64)
 }
 
 // Assessment is the outcome of scoring one emitted drive-day row (or
@@ -181,6 +220,11 @@ type Assessment struct {
 	// Degraded reports the probability came from the fallback
 	// SMART-threshold detector because the scoring backend failed.
 	Degraded bool
+	// TopFactors lists the strongest positive feature contributions
+	// (at most three, strongest first) when Options.Explain is set, the
+	// row is flagged, and the model supports attribution; nil
+	// otherwise.
+	TopFactors []Factor
 }
 
 // driveRoll is one drive's serving state: the rolling feature state,
@@ -195,14 +239,16 @@ type driveRoll struct {
 
 // shard owns a disjoint subset of the fleet's drives plus the pooled
 // per-day scratch its worker fills: the feature-row arena, row
-// metadata, and the record indexes routed to it.
+// metadata, the record indexes routed to it, and explanation
+// candidates.
 type shard struct {
-	drives map[string]*driveRoll
-	recIdx []int32 // input indexes of today's records, in input order
-	x      []float64
-	meta   []features.EmittedRow
-	rowOff int // row offset of this shard within the day's arena
-	stats  SweepStats
+	drives  map[string]*driveRoll
+	recIdx  []int32 // input indexes of today's records, in input order
+	x       []float64
+	meta    []features.EmittedRow
+	factors []Factor
+	rowOff  int // row offset of this shard within the day's arena
+	stats   SweepStats
 }
 
 // planKind classifies one input record's outcome.
@@ -235,10 +281,12 @@ type Scorer struct {
 	alarmAfter int
 	workers    int
 	registries map[string]*firmware.Registry
+	explain    bool
 	strictFW   bool
 	faults     FaultHooks
 	fallback   ml.Classifier // degraded-mode detector; nil when the group lacks SMART
 	degraded   bool          // last scored batch used the fallback
+	started    bool          // state has advanced; LoadState is refused
 
 	seed   maphash.Seed
 	shards []shard
@@ -249,13 +297,33 @@ type Scorer struct {
 	scores []float64
 }
 
-// New builds a scorer around a deployed model.
-func New(model *core.Model, opts Options) (*Scorer, error) {
+// extractorFor checks that model can serve online — non-nil, flat (not
+// a sequence model), and as wide as its feature group's extractor —
+// and returns that extractor. New and UpdateModel share it, so a pushed
+// model passes exactly the checks a deployed one did.
+func extractorFor(model *core.Model, regs map[string]*firmware.Registry) (*features.Extractor, error) {
 	if model == nil || model.Classifier == nil {
 		return nil, fmt.Errorf("serve: nil model")
 	}
 	if model.Config.Algorithm.Sequential() {
 		return nil, fmt.Errorf("serve: sequence models (%s) are not supported; deploy a flat model", model.Config.Algorithm)
+	}
+	ext, err := features.NewExtractor(model.Config.Group, regs)
+	if err != nil {
+		return nil, err
+	}
+	if model.Width != 0 && ext.Width() != model.Width {
+		return nil, fmt.Errorf("serve: model width %d does not match group %s width %d",
+			model.Width, model.Config.Group, ext.Width())
+	}
+	return ext, nil
+}
+
+// New builds a scorer around a deployed model.
+func New(model *core.Model, opts Options) (*Scorer, error) {
+	ext, err := extractorFor(model, opts.Registries)
+	if err != nil {
+		return nil, err
 	}
 	alarmAfter := opts.AlarmAfter
 	if alarmAfter == 0 {
@@ -281,14 +349,6 @@ func New(model *core.Model, opts Options) (*Scorer, error) {
 	if err := policy.Validate(); err != nil {
 		return nil, err
 	}
-	ext, err := features.NewExtractor(model.Config.Group, opts.Registries)
-	if err != nil {
-		return nil, err
-	}
-	if model.Width != 0 && ext.Width() != model.Width {
-		return nil, fmt.Errorf("serve: model width %d does not match group %s width %d",
-			model.Width, model.Config.Group, ext.Width())
-	}
 	s := &Scorer{
 		model:      model,
 		ext:        ext,
@@ -296,6 +356,7 @@ func New(model *core.Model, opts Options) (*Scorer, error) {
 		alarmAfter: alarmAfter,
 		workers:    opts.Workers,
 		registries: opts.Registries,
+		explain:    opts.Explain,
 		strictFW:   opts.StrictFirmware,
 		faults:     opts.Faults,
 		seed:       maphash.MakeSeed(),
@@ -356,6 +417,26 @@ func finiteRows(rows []float64) bool {
 
 const maxFinite = 1.7976931348623157e308 // math.MaxFloat64
 
+// unknownFirmware returns the ledger entry that quarantines a drive
+// whose firmware version is absent from its vendor's registry under
+// Options.StrictFirmware. ok is false when the version is acceptable;
+// vendors without a registry are never strict-checked. Registries are
+// only read, so shards may call it concurrently.
+func (s *Scorer) unknownFirmware(sn, vendor string, day int, fw firmware.Version) (e QuarantineEntry, ok bool) {
+	if !s.strictFW {
+		return e, false
+	}
+	reg, has := s.registries[vendor]
+	if !has {
+		return e, false
+	}
+	if _, known := reg.ByVersion(fw); known {
+		return e, false
+	}
+	return QuarantineEntry{SerialNumber: sn, Day: day, Reason: QuarantineUnknownFirmware,
+		Err: fmt.Sprintf("serve: drive %s firmware %q not in vendor %s registry", sn, fw, vendor)}, true
+}
+
 // ObserveDay ingests one day of raw (daily-count) fleet telemetry and
 // returns one assessment per emitted feature row — mean-filled days
 // precede their record's own day — plus one entry per record whose
@@ -366,7 +447,10 @@ const maxFinite = 1.7976931348623157e308 // math.MaxFloat64
 //
 // The batch does not need to share a literal calendar day; any set of
 // records is accepted as long as each drive's records arrive in
-// chronological order (within and across calls). A record that fails
+// chronological order (within and across calls), and a drive's
+// assessments do not depend on how its records were batched — a
+// single machine's monitor calls it with one record at a time. A
+// record that fails
 // validation or extraction quarantines that drive only — the rest of
 // the fleet scores bit-identically to a batch that never carried the
 // bad record. The only error return is the injected transient observe
@@ -385,13 +469,17 @@ func (s *Scorer) ObserveDay(recs []dataset.Record) ([]Assessment, SweepStats, er
 		}
 	}
 	stats.Records = len(recs)
+	s.started = true
 
-	// Serial pre-pass: skip records of quarantined drives, validate,
-	// quarantine corrupt records, register firmware versions with the
-	// encoders (the only extractor mutation — after this, extraction is
-	// read-only and safe to fan out), and route healthy records to
-	// shards. Quarantine decisions happen here in input order, so the
-	// ledger never depends on worker or shard count.
+	// Serial pre-pass: skip records of drives quarantined by an earlier
+	// batch, validate, register the firmware versions of valid records
+	// with the encoders (the only extractor mutation — after this,
+	// extraction is read-only and safe to fan out), and route records to
+	// shards. A corrupt record only carries its pending ledger entry to
+	// the shard, which applies it in the drive's input order: the
+	// drive's earlier records in the same batch still score first, so a
+	// batch holding a drive's whole series quarantines it at the same
+	// record as one-record batches would.
 	for i := range s.shards {
 		s.shards[i].recIdx = s.shards[i].recIdx[:0]
 		s.shards[i].stats = SweepStats{}
@@ -400,6 +488,7 @@ func (s *Scorer) ObserveDay(recs []dataset.Record) ([]Assessment, SweepStats, er
 		s.plans = make([]recPlan, len(recs))
 	}
 	s.plans = s.plans[:len(recs)]
+	var pending map[int32]QuarantineEntry // corrupt records' ledger entries
 	for i := range recs {
 		rec := &recs[i]
 		si := s.shardOf(rec.SerialNumber)
@@ -409,29 +498,22 @@ func (s *Scorer) ObserveDay(recs []dataset.Record) ([]Assessment, SweepStats, er
 			stats.Skipped++
 			continue
 		}
+		sh.recIdx = append(sh.recIdx, int32(i))
+		e, bad := s.unknownFirmware(rec.SerialNumber, rec.Vendor, rec.Day, rec.Firmware)
 		if err := rec.Validate(); err != nil {
-			dr := sh.rollFor(rec.SerialNumber)
-			dr.q = QuarantineEntry{SerialNumber: rec.SerialNumber, Day: rec.Day,
-				Reason: quarantineReasonFor(err), Err: err.Error()}
+			e, bad = QuarantineEntry{SerialNumber: rec.SerialNumber, Day: rec.Day,
+				Reason: quarantineReasonFor(err), Err: err.Error()}, true
+		}
+		if bad {
+			if pending == nil {
+				pending = make(map[int32]QuarantineEntry)
+			}
+			pending[int32(i)] = e
 			s.plans[i] = recPlan{shard: int32(si), kind: planQuar}
-			stats.Quarantined++
 			continue
 		}
-		if s.strictFW {
-			if reg, ok := s.registries[rec.Vendor]; ok {
-				if _, known := reg.ByVersion(rec.Firmware); !known {
-					dr := sh.rollFor(rec.SerialNumber)
-					dr.q = QuarantineEntry{SerialNumber: rec.SerialNumber, Day: rec.Day,
-						Reason: QuarantineUnknownFirmware,
-						Err:    fmt.Sprintf("serve: drive %s firmware %q not in vendor %s registry", rec.SerialNumber, rec.Firmware, rec.Vendor)}
-					s.plans[i] = recPlan{shard: int32(si), kind: planQuar}
-					stats.Quarantined++
-					continue
-				}
-			}
-		}
+		s.plans[i] = recPlan{shard: int32(si)}
 		s.ext.PrimeVersion(rec.Vendor, rec.Firmware)
-		sh.recIdx = append(sh.recIdx, int32(i))
 	}
 
 	// Fan out: each shard advances its drives in input order and
@@ -452,6 +534,11 @@ func (s *Scorer) ObserveDay(recs []dataset.Record) ([]Assessment, SweepStats, er
 				// Quarantined earlier in this very batch.
 				s.plans[ri] = recPlan{shard: int32(si), kind: planSkip}
 				sh.stats.Skipped++
+				continue
+			}
+			if s.plans[ri].kind == planQuar {
+				dr.q = pending[ri]
+				sh.stats.Quarantined++
 				continue
 			}
 			before := len(sh.meta)
@@ -547,9 +634,14 @@ func (s *Scorer) ObserveDay(recs []dataset.Record) ([]Assessment, SweepStats, er
 	stats.Scored = totalRows
 
 	// Merge: each shard applies hysteresis to its own drives (disjoint,
-	// so no locking) and writes assessments at precomputed offsets.
+	// so no locking), counts flags and alarms, explains flagged rows,
+	// and writes assessments at precomputed offsets.
 	out := make([]Assessment, entries)
 	threshold := s.model.Threshold
+	var exp explainer
+	if s.explain && !dayDegraded {
+		exp, _ = s.model.Classifier.(explainer)
+	}
 	_ = parallel.Do(nsh, s.workers, func(si int) error {
 		sh := &s.shards[si]
 		for _, ri := range sh.recIdx {
@@ -576,7 +668,7 @@ func (s *Scorer) ObserveDay(recs []dataset.Record) ([]Assessment, SweepStats, er
 				if dr.consecutive >= s.alarmAfter {
 					dr.alarmed = true
 				}
-				out[p.outOff+k] = Assessment{
+				as := Assessment{
 					SerialNumber:     rec.SerialNumber,
 					Day:              int(m.Day),
 					Probability:      score,
@@ -586,10 +678,25 @@ func (s *Scorer) ObserveDay(recs []dataset.Record) ([]Assessment, SweepStats, er
 					Alarmed:          dr.alarmed,
 					Degraded:         dayDegraded,
 				}
+				if flagged {
+					sh.stats.Flagged++
+					if exp != nil {
+						r := int(p.rowOff + k)
+						as.TopFactors = sh.topFactors(exp, s.ext.Names(), sh.x[r*width:(r+1)*width])
+					}
+				}
+				if dr.alarmed {
+					sh.stats.Alarmed++
+				}
+				out[p.outOff+k] = as
 			}
 		}
 		return nil
 	})
+	for si := range s.shards {
+		stats.Flagged += s.shards[si].stats.Flagged
+		stats.Alarmed += s.shards[si].stats.Alarmed
+	}
 	// Serial pass for the records the fan-out never routed or the
 	// shards rejected: one Quarantined entry each.
 	for i := range recs {
@@ -598,6 +705,28 @@ func (s *Scorer) ObserveDay(recs []dataset.Record) ([]Assessment, SweepStats, er
 		}
 	}
 	return out, stats, nil
+}
+
+// topFactors returns the three strongest positive contributions to the
+// prediction for x. Candidates collect in the shard's pooled buffer;
+// only the returned top three escape.
+func (sh *shard) topFactors(exp explainer, names []string, x []float64) []Factor {
+	contrib, _ := exp.Explain(x)
+	if len(contrib) != len(names) {
+		return nil
+	}
+	factors := sh.factors[:0]
+	for i, c := range contrib {
+		if c > 0 {
+			factors = append(factors, Factor{Feature: names[i], Contribution: c})
+		}
+	}
+	sh.factors = factors
+	sort.SliceStable(factors, func(i, j int) bool { return factors[i].Contribution > factors[j].Contribution })
+	if len(factors) > 3 {
+		factors = factors[:3]
+	}
+	return append([]Factor(nil), factors...)
 }
 
 // ReplayStats summarises a ReplayFrame pass.
@@ -611,7 +740,8 @@ type ReplayStats struct {
 	Rows int
 	// Dropped is how many drives the gap policy excluded.
 	Dropped int
-	// Quarantined is how many drives a rolling-state error quarantined
+	// Quarantined is how many drives a rolling-state error or, under
+	// Options.StrictFirmware, an unknown firmware version quarantined
 	// mid-replay (their remaining rows are skipped).
 	Quarantined int
 }
@@ -624,15 +754,18 @@ type ReplayStats struct {
 // be split back into the exact daily vectors a future mean-fill
 // needs). Scoring then resumes with ObserveDay for subsequent days.
 //
-// A drive whose history fails to advance is quarantined (ledger reason
-// rolling-error) and its remaining rows skipped; the other drives
-// replay unaffected.
+// A drive whose history fails to advance (ledger reason rolling-error)
+// or, under Options.StrictFirmware, carries a version absent from its
+// vendor's registry (unknown-firmware) is quarantined at that row and
+// its remaining rows skipped, exactly as ObserveDay would have; the
+// other drives replay unaffected.
 func (s *Scorer) ReplayFrame(f *dataset.Frame) (ReplayStats, error) {
 	if f.Cumulated() {
 		return ReplayStats{}, fmt.Errorf("serve: ReplayFrame needs raw daily counts, got a cumulated frame")
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.started = true
 
 	// Serial pre-pass: register firmware versions (drive-major, the
 	// offline priming order) and route drives to shards.
@@ -655,6 +788,11 @@ func (s *Scorer) ReplayFrame(f *dataset.Frame) (ReplayStats, error) {
 			wasDropped := dr.roll.Dropped()
 			rows0 := dr.roll.Rows()
 			for r := int(d.Start); r < int(d.End); r++ {
+				if e, bad := s.unknownFirmware(d.SerialNumber, d.Vendor, int(f.Day(r)), f.FirmwareAt(r)); bad {
+					dr.q = e
+					st.Quarantined++
+					break
+				}
 				_, meta, err := dr.roll.AdvanceRow(s.ext, s.policy, d.SerialNumber, d.Vendor, int(f.Day(r)),
 					f.SmartRow(r), f.FirmwareAt(r), f.WRow(r), f.BRow(r), nil, sh.meta[:0])
 				sh.meta = meta[:0]
@@ -684,15 +822,14 @@ func (s *Scorer) ReplayFrame(f *dataset.Frame) (ReplayStats, error) {
 	return total, nil
 }
 
-// UpdateModel swaps in a newly pushed model. The feature group must
-// match so the accumulated per-drive state stays valid. A failed swap
-// (including an injected one) leaves the current model serving.
+// UpdateModel swaps in a newly pushed model. It must pass New's model
+// checks, and its feature group must match so the accumulated
+// per-drive state stays valid. A failed swap (including an injected
+// one) leaves the current model serving.
 func (s *Scorer) UpdateModel(model *core.Model) error {
-	if model == nil || model.Classifier == nil {
-		return fmt.Errorf("serve: nil model")
-	}
-	if model.Config.Algorithm.Sequential() {
-		return fmt.Errorf("serve: sequence models are not supported")
+	ext, err := extractorFor(model, s.registries)
+	if err != nil {
+		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -704,10 +841,6 @@ func (s *Scorer) UpdateModel(model *core.Model) error {
 	if model.Config.Group != s.model.Config.Group {
 		return fmt.Errorf("serve: pushed model uses group %s, scorer runs %s",
 			model.Config.Group, s.model.Config.Group)
-	}
-	ext, err := features.NewExtractor(model.Config.Group, s.registries)
-	if err != nil {
-		return err
 	}
 	s.model = model
 	s.ext = ext

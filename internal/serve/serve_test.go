@@ -20,6 +20,7 @@ import (
 // offline pipeline and the day-major serving feed.
 var (
 	cachedFleet *simfleet.Result
+	cachedFrame *dataset.Frame
 	cachedModel *core.Model
 	cachedRegs  map[string]*firmware.Registry
 )
@@ -47,7 +48,7 @@ func setup(t *testing.T) (*simfleet.Result, *core.Model, map[string]*firmware.Re
 		if err != nil {
 			t.Fatal(err)
 		}
-		cachedFleet, cachedModel, cachedRegs = fleet, model, regs
+		cachedFleet, cachedFrame, cachedModel, cachedRegs = fleet, frame, model, regs
 	}
 	return cachedFleet, cachedModel, cachedRegs
 }
