@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/bsod"
 	"repro/internal/firmware"
+	"repro/internal/smartattr"
 	"repro/internal/winevent"
 )
 
@@ -309,37 +311,116 @@ func TestReadCSVFrameRoundTrip(t *testing.T) {
 }
 
 func TestReadCSVFrameFallbackOnInterleavedRows(t *testing.T) {
-	// Interleave two drives' rows: the streaming builder cannot take
-	// them, so the reader must fall back to Dataset ingestion and still
-	// return the right frame.
-	d := New()
-	for day := 0; day < 4; day++ {
-		mustAppend(t, d, rec("A", day))
-		mustAppend(t, d, rec("B", day))
+	// Rows the streaming builder cannot take — interleaved drives, days
+	// out of order, repeated days — must still give the frame the
+	// ordering rules define: drives in first-seen order, ascending days,
+	// and a later row winning on a repeated day. A drive whose vendor or
+	// model changes is an error. Each row carries a MediaErrors mark so
+	// the winner of a repeated day is visible.
+	row := func(sn string, day int, mark float64) Record {
+		r := rec(sn, day)
+		r.Smart.Set(smartattr.MediaErrors, mark)
+		return r
 	}
-	var interleaved bytes.Buffer
-	cw := csv.NewWriter(&interleaved)
-	if err := cw.Write(Header()); err != nil {
-		t.Fatal(err)
+	type drive struct {
+		sn    string
+		days  []int
+		marks []float64
 	}
-	for day := 0; day < 4; day++ {
-		for _, sn := range []string{"A", "B"} {
-			s, _ := d.Series(sn)
-			r, _ := s.At(day)
-			if err := cw.Write(recordRow(r)); err != nil {
+	cases := []struct {
+		name    string
+		rows    []Record
+		want    []drive
+		wantErr bool
+	}{
+		{
+			name: "interleaved drives",
+			rows: []Record{row("A", 0, 1), row("B", 0, 2), row("A", 1, 3), row("B", 1, 4),
+				row("A", 2, 5), row("B", 2, 6), row("A", 3, 7), row("B", 3, 8)},
+			want: []drive{{"A", []int{0, 1, 2, 3}, []float64{1, 3, 5, 7}}, {"B", []int{0, 1, 2, 3}, []float64{2, 4, 6, 8}}},
+		},
+		{
+			name: "days out of order",
+			rows: []Record{row("A", 2, 1), row("A", 0, 2), row("A", 3, 3), row("B", 1, 4),
+				row("A", 1, 5), row("B", 0, 6)},
+			want: []drive{{"A", []int{0, 1, 2, 3}, []float64{2, 5, 1, 3}}, {"B", []int{0, 1}, []float64{6, 4}}},
+		},
+		{
+			name: "repeated day",
+			rows: []Record{row("A", 0, 1), row("A", 1, 2), row("B", 0, 3), row("A", 1, 4),
+				row("A", 3, 5), row("A", 2, 6), row("A", 3, 7)},
+			want: []drive{{"A", []int{0, 1, 2, 3}, []float64{1, 4, 6, 7}}, {"B", []int{0}, []float64{3}}},
+		},
+		{
+			name:    "vendor change",
+			rows:    []Record{row("A", 0, 1), row("B", 0, 2), func() Record { r := row("A", 1, 3); r.Vendor = "II"; return r }()},
+			wantErr: true,
+		},
+		{
+			name:    "model change",
+			rows:    []Record{row("A", 1, 1), row("A", 0, 2), func() Record { r := row("A", 2, 3); r.Model = "other"; return r }()},
+			wantErr: true,
+		},
+	}
+	for _, c := range cases {
+		var buf bytes.Buffer
+		cw := csv.NewWriter(&buf)
+		if err := cw.Write(Header()); err != nil {
+			t.Fatal(err)
+		}
+		for i := range c.rows {
+			if err := cw.Write(csvRow(&c.rows[i])); err != nil {
 				t.Fatal(err)
 			}
 		}
+		cw.Flush()
+		if err := cw.Error(); err != nil {
+			t.Fatal(err)
+		}
+		f, err := ReadCSVFrame(bytes.NewReader(buf.Bytes()))
+		if c.wantErr {
+			if err == nil {
+				t.Errorf("%s: identity change accepted", c.name)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if f.Drives() != len(c.want) {
+			t.Fatalf("%s: %d drives, want %d", c.name, f.Drives(), len(c.want))
+		}
+		for i, w := range c.want {
+			d := f.Drive(i)
+			if d.SerialNumber != w.sn || d.Rows() != len(w.days) {
+				t.Fatalf("%s: drive %d is %s with %d rows, want %s with %d", c.name, i, d.SerialNumber, d.Rows(), w.sn, len(w.days))
+			}
+			for k := range w.days {
+				r := int(d.Start) + k
+				mark := (*smartattr.Values)(f.SmartRow(r)).Get(smartattr.MediaErrors)
+				if int(f.Day(r)) != w.days[k] || mark != w.marks[k] {
+					t.Fatalf("%s: drive %s row %d is day %d mark %g, want day %d mark %g",
+						c.name, w.sn, k, f.Day(r), mark, w.days[k], w.marks[k])
+				}
+			}
+		}
 	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		t.Fatal(err)
+}
+
+// csvRow renders r in the CSV column layout of Header.
+func csvRow(r *Record) []string {
+	row := []string{r.SerialNumber, r.Vendor, r.Model, strconv.Itoa(r.Day),
+		strconv.FormatBool(r.Interpolated), string(r.Firmware)}
+	for _, v := range r.Smart {
+		row = append(row, formatFloat(v))
 	}
-	f, err := ReadCSVFrame(bytes.NewReader(interleaved.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+	for _, v := range r.WCounts {
+		row = append(row, formatFloat(v))
 	}
-	requireDatasetsEqualBits(t, d, f.ToDataset())
+	for _, v := range r.BCounts {
+		row = append(row, formatFloat(v))
+	}
+	return row
 }
 
 func TestCumulateTwiceErrors(t *testing.T) {
