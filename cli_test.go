@@ -77,6 +77,15 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatalf("agent output: %s", out)
 	}
 
+	// A drive of another vendor cannot be scored by the vendor-I model:
+	// the agent must fail and name both vendors, not report zero drives.
+	cmd := exec.Command(agentBin, "-model", modelJSON, "-data", fleetCSV, "-sn", "II-H000000")
+	if raw, err := cmd.CombinedOutput(); err == nil {
+		t.Fatalf("agent accepted a vendor-II drive for a vendor-I model:\n%s", raw)
+	} else if out := string(raw); !strings.Contains(out, "vendor II") || !strings.Contains(out, "vendor I ") {
+		t.Fatalf("agent error does not name both vendors: %s", out)
+	}
+
 	// One cheap report experiment, with SVG output.
 	svgDir := filepath.Join(dir, "figs")
 	out = run(t, report, "-exp", "fig2", "-scale", "0.03", "-svg", svgDir)

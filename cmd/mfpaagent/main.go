@@ -65,17 +65,19 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Either telemetry format loads into the columnar frame; the sweep
-	// below batches records, so materialise them once.
-	frame, err := dataset.ReadTelemetryWorkers(df, *workers)
+	// Either telemetry format loads into the columnar frame.
+	data, err := dataset.ReadTelemetryWorkers(df, *workers)
 	df.Close()
 	if err != nil {
 		log.Fatal(err)
 	}
-	data := frame.ToDataset()
 	if *sn != "" {
-		if _, ok := data.Series(*sn); !ok {
+		i, ok := data.DriveIndex(*sn)
+		if !ok {
 			log.Fatalf("drive %s not in %s", *sn, *dataPath)
+		}
+		if v := data.Drive(i).Vendor; model.Config.Vendor != "" && v != model.Config.Vendor {
+			log.Fatalf("drive %s is vendor %s; the model scores vendor %s drives only", *sn, v, model.Config.Vendor)
 		}
 	}
 

@@ -65,15 +65,15 @@ func main() {
 
 	// Telemetry is written straight from the simulation arena; the
 	// MFPAC container encodes its blocks from the same slabs.
-	res, err := simfleet.SimulateFrame(cfg)
+	res, err := simfleet.Simulate(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := writeTelemetry(*out, res.Frame, telFormat); err != nil {
+	if err := writeTelemetry(*out, res.Data, telFormat); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("wrote %s (%s): %d drives, %d records, %d faulty\n",
-		*out, telFormat, res.Frame.Drives(), res.Frame.Len(), res.FaultyCount())
+		*out, telFormat, res.Data.Drives(), res.Data.Len(), res.FaultyCount())
 
 	if *ticketsPath != "" {
 		if err := writeTickets(*ticketsPath, res.Tickets); err != nil {
@@ -113,7 +113,7 @@ func writeTickets(path string, store *ticket.Store) error {
 	return f.Close()
 }
 
-func writeTruth(path string, res *simfleet.FrameResult) error {
+func writeTruth(path string, res *simfleet.Result) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err

@@ -118,18 +118,14 @@ func main() {
 }
 
 // dumpTelemetry writes the report fleet's telemetry in the format the
-// path implies, reusing the context's columnar frame.
+// path implies.
 func dumpTelemetry(path string, ctx *experiments.Context) error {
-	frame, err := ctx.FleetFrame()
-	if err != nil {
-		return err
-	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if err := dataset.WriteTelemetry(f, frame, dataset.FormatForPath(path)); err != nil {
+	if err := dataset.WriteTelemetry(f, ctx.Fleet.Data, dataset.FormatForPath(path)); err != nil {
 		return err
 	}
 	return f.Close()

@@ -105,11 +105,11 @@ func main() {
 		fleetCfg.Seed = *seed
 		fleetCfg.FailureScale = *scale
 		fleetCfg.Workers = *workers
-		fleet, err := simfleet.SimulateFrame(fleetCfg)
+		fleet, err := simfleet.Simulate(fleetCfg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		frame, store = fleet.Frame, fleet.Tickets
+		frame, store = fleet.Data, fleet.Tickets
 		cfg.Registries = make(map[string]*firmware.Registry)
 		for _, v := range fleet.Config.Vendors {
 			cfg.Registries[v.Name] = v.Firmware

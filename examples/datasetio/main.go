@@ -27,12 +27,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Export to both interchange formats. The MFPAC writer streams
-	// straight from columnar frame slabs, so convert once.
-	frame, err := dataset.FrameFromDataset(fleet.Data)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// Export to both interchange formats, straight from the fleet's
+	// columnar frame.
+	frame := fleet.Data
 	var csvBuf, pacBuf bytes.Buffer
 	if err := dataset.WriteTelemetry(&csvBuf, frame, dataset.FormatCSV); err != nil {
 		log.Fatal(err)
@@ -41,33 +38,31 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("exported %d records (%d drives): %.1f MB CSV, %.1f MB MFPAC (%.1fx smaller)\n",
-		fleet.Data.Len(), fleet.Data.Drives(),
+		frame.Len(), frame.Drives(),
 		float64(csvBuf.Len())/1e6, float64(pacBuf.Len())/1e6,
 		float64(csvBuf.Len())/float64(pacBuf.Len()))
 
 	// Re-import through the format-sniffing loader: both payloads go
 	// through the same call, detected by their leading bytes.
-	restoredFrame, err := dataset.ReadTelemetry(&pacBuf)
+	restored, err := dataset.ReadTelemetry(&pacBuf)
 	if err != nil {
 		log.Fatal(err)
 	}
-	restored := restoredFrame.ToDataset()
-	fromCSVFrame, err := dataset.ReadTelemetry(&csvBuf)
+	fromCSV, err := dataset.ReadTelemetry(&csvBuf)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fromCSV := fromCSVFrame.ToDataset()
 	fmt.Printf("re-imported %d records (%d drives) from MFPAC, %d from CSV\n",
 		restored.Len(), restored.Drives(), fromCSV.Len())
-	if restored.Len() != fleet.Data.Len() || fromCSV.Len() != fleet.Data.Len() {
-		log.Fatalf("round trip lost records: %d/%d vs %d", restored.Len(), fromCSV.Len(), fleet.Data.Len())
+	if restored.Len() != frame.Len() || fromCSV.Len() != frame.Len() {
+		log.Fatalf("round trip lost records: %d/%d vs %d", restored.Len(), fromCSV.Len(), frame.Len())
 	}
 
 	// Train on all three copies; the results must be identical because
 	// every pipeline stage is deterministic and both containers
 	// round-trip values bit-exactly.
 	cfg := mfpa.DefaultConfig("I")
-	_, repA, err := mfpa.Train(fleet.Data, fleet.Tickets, cfg)
+	_, repA, err := mfpa.Train(frame, fleet.Tickets, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

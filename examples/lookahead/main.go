@@ -57,7 +57,7 @@ func main() {
 
 	// Live scoring: replay one faulty drive's prepared record stream
 	// through the model, as the on-client agent would.
-	data := prep.Frame.ToDataset()
+	data := prep.Frame
 	var faultySN string
 	var failDay int
 	sns := make([]string, 0, len(prep.Labels))
@@ -66,7 +66,7 @@ func main() {
 	}
 	sort.Strings(sns)
 	for _, sn := range sns {
-		if _, ok := data.Series(sn); ok {
+		if _, ok := data.DriveIndex(sn); ok {
 			faultySN = sn
 			failDay = prep.Labels[sn].FailDay
 			break

@@ -16,8 +16,8 @@ func main() {
 	log.SetFlags(0)
 
 	// 1. A fleet: telemetry records, trouble tickets, ground truth.
-	//    (With real data you would fill a dataset.Dataset and a
-	//    ticket.Store instead.)
+	//    (With real data you would load a dataset.Frame from CSV or
+	//    MFPAC with dataset.ReadTelemetry, and fill a ticket.Store.)
 	fleetCfg := mfpa.DefaultFleetConfig()
 	fleetCfg.FailureScale = 0.08 // keep the demo quick
 	fleet, err := mfpa.SimulateFleet(fleetCfg)

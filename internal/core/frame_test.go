@@ -8,14 +8,10 @@ import (
 	"repro/internal/dataset"
 )
 
-// testFrame converts the shared test fleet's telemetry to a frame.
+// testFrame returns the shared test fleet's telemetry.
 func testFrame(t *testing.T) *dataset.Frame {
 	t.Helper()
-	f, err := dataset.FrameFromDataset(testFleet(t).Data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f
+	return testFleet(t).Data
 }
 
 // requirePreparedEquivalent asserts two preparations agree: same
@@ -35,17 +31,18 @@ func requirePreparedEquivalent(t *testing.T, want, got *Prepared) {
 	if want.RecordCount != got.RecordCount {
 		t.Fatalf("record count %d, want %d", got.RecordCount, want.RecordCount)
 	}
-	wd, gd := want.Frame.ToDataset(), got.Frame.ToDataset()
-	if !reflect.DeepEqual(wd.SerialNumbers(), gd.SerialNumbers()) {
-		t.Fatal("drive order differs")
+	wf, gf := want.Frame, got.Frame
+	if wf.Drives() != gf.Drives() || wf.Cumulated() != gf.Cumulated() {
+		t.Fatalf("%d drives (cumulated %v), want %d (%v)", gf.Drives(), gf.Cumulated(), wf.Drives(), wf.Cumulated())
 	}
-	for _, sn := range wd.SerialNumbers() {
-		ws, _ := wd.Series(sn)
-		gs, _ := gd.Series(sn)
+	i := 0
+	wf.Each(func(ws *dataset.DriveSeries) {
+		gs, _ := gf.Series(gf.Drive(i).SerialNumber)
+		i++
 		if !reflect.DeepEqual(ws, gs) {
-			t.Fatalf("drive %s telemetry differs", sn)
+			t.Fatalf("drive %s telemetry differs", ws.SerialNumber)
 		}
-	}
+	})
 	wset, err := want.BuildSampleSet()
 	if err != nil {
 		t.Fatal(err)

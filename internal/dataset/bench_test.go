@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-func benchDataset(b *testing.B, drives, days int) *Dataset {
+func benchRecords(b *testing.B, drives, days int) *recordSet {
 	b.Helper()
-	d := New()
+	d := newRecordSet()
 	for dr := 0; dr < drives; dr++ {
 		sn := fmt.Sprintf("D%04d", dr)
 		for day := 0; day < days; day += 1 + (dr+day)%3 {
@@ -27,7 +27,7 @@ func benchDataset(b *testing.B, drives, days int) *Dataset {
 // frame; BenchmarkTelemetryRead compares the decoders on each
 // format's own bytes.
 func BenchmarkTelemetryWrite(b *testing.B) {
-	f, err := FrameFromDataset(benchDataset(b, 200, 120))
+	f, err := frameOf(benchRecords(b, 200, 120))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func BenchmarkTelemetryWrite(b *testing.B) {
 }
 
 func BenchmarkTelemetryRead(b *testing.B) {
-	f, err := FrameFromDataset(benchDataset(b, 200, 120))
+	f, err := frameOf(benchRecords(b, 200, 120))
 	if err != nil {
 		b.Fatal(err)
 	}

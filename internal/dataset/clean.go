@@ -44,15 +44,16 @@ type CleanStats struct {
 // GapHistogram tallies, over all drives, how many consecutive-record
 // intervals have each length in days (index = gap length; index 1
 // counts one-day steps). Used by the Fig. 6 experiment to show the
-// discontinuity structure of CSS telemetry. Non-positive gaps — only
-// possible on hand-built series with duplicate or unsorted days, which
-// Dataset.Append and the frame builders reject — are clamped into the
-// index-0 bucket instead of panicking on a negative index.
-func GapHistogram(d *Dataset, maxGap int) []int {
+// discontinuity structure of CSS telemetry. Non-positive gaps — which
+// AddDrive and the frame builders reject, so only a hand-assembled
+// frame can hold them — are clamped into the index-0 bucket instead of
+// panicking on a negative index.
+func GapHistogram(f *Frame, maxGap int) []int {
 	hist := make([]int, maxGap+1)
-	d.Each(func(s *DriveSeries) {
-		for i := 1; i < len(s.Records); i++ {
-			g := s.Records[i].Day - s.Records[i-1].Day
+	for i := range f.drives {
+		d := &f.drives[i]
+		for r := d.Start + 1; r < d.End; r++ {
+			g := int(f.day[r] - f.day[r-1])
 			if g < 0 {
 				g = 0
 			}
@@ -61,6 +62,20 @@ func GapHistogram(d *Dataset, maxGap int) []int {
 			}
 			hist[g]++
 		}
-	})
+	}
 	return hist
+}
+
+// MaxGap returns the largest interval in days between consecutive
+// observations of drive i, or 0 for a drive with fewer than two rows.
+// A gap of 1 means consecutive days.
+func (f *Frame) MaxGap(i int) int {
+	d := &f.drives[i]
+	max := 0
+	for r := d.Start + 1; r < d.End; r++ {
+		if g := int(f.day[r] - f.day[r-1]); g > max {
+			max = g
+		}
+	}
+	return max
 }

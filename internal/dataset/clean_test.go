@@ -7,9 +7,9 @@ import (
 	"repro/internal/winevent"
 )
 
-func buildSet(t *testing.T, days map[string][]int) *Dataset {
+func buildSet(t *testing.T, days map[string][]int) *recordSet {
 	t.Helper()
-	d := New()
+	d := newRecordSet()
 	for sn, list := range days {
 		for _, day := range list {
 			r := rec(sn, day)
@@ -39,9 +39,9 @@ func TestGapPolicyValidate(t *testing.T) {
 
 // runPipeline runs PreparePipeline on d's frame and returns the result
 // in record form.
-func runPipeline(t *testing.T, d *Dataset, opts PipelineOptions) (*Dataset, CleanStats) {
+func runPipeline(t *testing.T, d *recordSet, opts PipelineOptions) (*recordSet, CleanStats) {
 	t.Helper()
-	f, err := FrameFromDataset(d)
+	f, err := frameOf(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func runPipeline(t *testing.T, d *Dataset, opts PipelineOptions) (*Dataset, Clea
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out.ToDataset(), stats
+	return recordsOf(out), stats
 }
 
 // cleanOnly is the clean stage alone under the paper's policy.
@@ -83,8 +83,8 @@ func TestCleanFillsShortGaps(t *testing.T) {
 		t.Fatalf("RecordsFilled = %d, want 2", stats.RecordsFilled)
 	}
 	for _, day := range []int{1, 2} {
-		r, ok := s.At(day)
-		if !ok {
+		r := &s.Records[day]
+		if r.Day != day {
 			t.Fatalf("day %d not filled", day)
 		}
 		if !r.Interpolated {
@@ -116,7 +116,7 @@ func TestCleanLeavesMediumGaps(t *testing.T) {
 
 func TestCleanDoesNotMutateInput(t *testing.T) {
 	d := buildSet(t, map[string][]int{"A": {0, 3}})
-	f, err := FrameFromDataset(d)
+	f, err := frameOf(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestCleanDoesNotMutateInput(t *testing.T) {
 
 func TestCleanRejectsBadPolicy(t *testing.T) {
 	d := buildSet(t, map[string][]int{"A": {0, 1}})
-	f, err := FrameFromDataset(d)
+	f, err := frameOf(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,11 @@ func TestGapHistogram(t *testing.T) {
 		"B": {0, 20},   // gap 20 → clamped to maxGap
 		"C": {0, 1, 2}, // gaps 1, 1
 	})
-	hist := GapHistogram(d, 5)
+	f, err := frameOf(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hist := GapHistogram(f, 5)
 	if hist[1] != 3 {
 		t.Errorf("hist[1] = %d, want 3", hist[1])
 	}

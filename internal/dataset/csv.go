@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 
 	"repro/internal/bsod"
@@ -32,58 +33,10 @@ func Header() []string {
 	return h
 }
 
-// WriteCSV writes the dataset to w, one row per record, drives in
-// insertion order.
-func WriteCSV(w io.Writer, d *Dataset) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(Header()); err != nil {
-		return fmt.Errorf("dataset: write header: %w", err)
-	}
-	var err error
-	d.Each(func(s *DriveSeries) {
-		if err != nil {
-			return
-		}
-		for i := range s.Records {
-			if e := cw.Write(recordRow(&s.Records[i])); e != nil {
-				err = fmt.Errorf("dataset: write record: %w", e)
-				return
-			}
-		}
-	})
-	if err != nil {
-		return err
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-func recordRow(r *Record) []string {
-	row := make([]string, 0, 6+smartattr.Count+winevent.Count()+bsod.Count())
-	row = append(row,
-		r.SerialNumber,
-		r.Vendor,
-		r.Model,
-		strconv.Itoa(r.Day),
-		strconv.FormatBool(r.Interpolated),
-		string(r.Firmware),
-	)
-	for _, v := range r.Smart {
-		row = append(row, formatFloat(v))
-	}
-	for _, v := range r.WCounts {
-		row = append(row, formatFloat(v))
-	}
-	for _, v := range r.BCounts {
-		row = append(row, formatFloat(v))
-	}
-	return row
-}
-
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// WriteCSVFrame writes the frame to w in the exact byte layout of
-// WriteCSV on the equivalent dataset, without materialising records.
+// WriteCSVFrame writes the frame to w, one row per record, drives in
+// frame order.
 func WriteCSVFrame(w io.Writer, f *Frame) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(Header()); err != nil {
@@ -119,49 +72,12 @@ func WriteCSVFrame(w io.Writer, f *Frame) error {
 	return cw.Error()
 }
 
-// ReadCSV parses a dataset previously written by WriteCSV.
-func ReadCSV(r io.Reader) (*Dataset, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = len(Header())
-	// One reused row slice for the whole file; every row is parsed into
-	// a Record before the next Read, so nothing aliases it.
-	cr.ReuseRecord = true
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("dataset: read header: %w", err)
-	}
-	want := Header()
-	for i := range want {
-		if header[i] != want[i] {
-			return nil, fmt.Errorf("dataset: header column %d is %q, want %q", i, header[i], want[i])
-		}
-	}
-	d := New()
-	for line := 2; ; line++ {
-		row, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("dataset: read line %d: %w", line, err)
-		}
-		rec, err := parseRow(row)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: line %d: %w", line, err)
-		}
-		if err := d.Append(rec); err != nil {
-			return nil, fmt.Errorf("dataset: line %d: %w", line, err)
-		}
-	}
-	return d, nil
-}
-
-// ReadCSVFrame parses telemetry written by WriteCSV/WriteCSVFrame
-// straight into a columnar frame, one streamed row at a time — no
-// []Record ever materialises. Files produced by the MFPA tools are
-// grouped by drive in day order (the builder's fast path); anything
-// else falls back to Dataset ingestion plus conversion, so the result
-// is always the frame equivalent of ReadCSV.
+// ReadCSVFrame parses telemetry written by WriteCSVFrame straight into
+// a columnar frame, one streamed row at a time. Files produced by the
+// MFPA tools are grouped by drive in day order (the builder's fast
+// path). Any other row order is buffered and sorted: drives keep their
+// first-seen order, each drive's days ascend, and a later row wins on a
+// repeated day. A drive whose vendor or model changes is an error.
 func ReadCSVFrame(r io.Reader) (*Frame, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = len(Header())
@@ -180,7 +96,7 @@ func ReadCSVFrame(r io.Reader) (*Frame, error) {
 	}
 	b := NewFrameBuilder()
 	scratch := Record{WCounts: winevent.NewCounts(), BCounts: bsod.NewCounts()}
-	var fallback *Dataset // non-nil once row order breaks the builder
+	var unordered *rowSorter // non-nil once row order breaks the builder
 	for line := 2; ; line++ {
 		row, err := cr.Read()
 		if err == io.EOF {
@@ -192,37 +108,112 @@ func ReadCSVFrame(r io.Reader) (*Frame, error) {
 		if err := parseRowInto(&scratch, row); err != nil {
 			return nil, fmt.Errorf("dataset: line %d: %w", line, err)
 		}
-		if fallback == nil {
-			err := b.AppendRow(scratch.SerialNumber, scratch.Vendor, scratch.Model,
+		if unordered == nil {
+			err = b.AppendRow(scratch.SerialNumber, scratch.Vendor, scratch.Model,
 				scratch.Day, scratch.Firmware, &scratch.Smart,
 				scratch.WCounts, scratch.BCounts, scratch.Interpolated)
-			if err == nil {
+			if !errors.Is(err, ErrRowOrder) {
+				if err != nil {
+					return nil, fmt.Errorf("dataset: line %d: %w", line, err)
+				}
 				continue
 			}
-			if !errors.Is(err, ErrRowOrder) {
-				return nil, fmt.Errorf("dataset: line %d: %w", line, err)
-			}
-			fallback = b.Finish().ToDataset()
+			unordered = newRowSorter(b.Finish())
 		}
-		if err := fallback.Append(scratch.Clone()); err != nil {
+		if err := unordered.add(&scratch); err != nil {
 			return nil, fmt.Errorf("dataset: line %d: %w", line, err)
 		}
 	}
-	if fallback != nil {
-		return FrameFromDataset(fallback)
+	if unordered != nil {
+		return unordered.finish()
 	}
 	return b.Finish(), nil
 }
 
-func parseRow(row []string) (Record, error) {
-	rec := Record{
-		WCounts: winevent.NewCounts(),
-		BCounts: bsod.NewCounts(),
+// rowSorter buffers telemetry in arrival order and sorts it into a
+// frame at the end: the slow path of ReadCSVFrame.
+type rowSorter struct {
+	f     *Frame       // staging arena; drives are not registered on it
+	drive []int32      // drive index of every staging row
+	ids   []FrameDrive // drive identities in first-seen order
+	bySN  map[string]int32
+}
+
+// newRowSorter takes over the rows a FrameBuilder accepted. They are in
+// valid order and precede every later row, so the arena index of a row
+// orders it among all rows of its drive and day.
+func newRowSorter(f *Frame) *rowSorter {
+	s := &rowSorter{f: f, drive: make([]int32, len(f.day)), ids: f.drives, bySN: f.bySN}
+	for i, d := range f.drives {
+		for r := d.Start; r < d.End; r++ {
+			s.drive[r] = int32(i)
+		}
 	}
-	if err := parseRowInto(&rec, row); err != nil {
-		return Record{}, err
+	f.drives, f.bySN = nil, nil
+	return s
+}
+
+// add buffers one validated record.
+func (s *rowSorter) add(r *Record) error {
+	if err := r.Validate(); err != nil {
+		return err
 	}
-	return rec, nil
+	di, ok := s.bySN[r.SerialNumber]
+	if !ok {
+		di = int32(len(s.ids))
+		s.bySN[r.SerialNumber] = di
+		s.ids = append(s.ids, FrameDrive{SerialNumber: r.SerialNumber, Vendor: r.Vendor, Model: r.Model})
+	} else if err := checkIdentity(&s.ids[di], r.Vendor, r.Model); err != nil {
+		return err
+	}
+	row := s.f.growRow()
+	s.f.setRow(row, r.Day, r.Firmware, &r.Smart, r.WCounts, r.BCounts, r.Interpolated)
+	s.drive = append(s.drive, di)
+	return nil
+}
+
+// finish orders the buffered rows by drive, then day, then arrival,
+// keeps the last row of each repeated day, and copies them into a new
+// frame.
+func (s *rowSorter) finish() (*Frame, error) {
+	src := s.f
+	order := make([]int, len(src.day))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(i, j int) bool {
+		a, b := order[i], order[j]
+		if s.drive[a] != s.drive[b] {
+			return s.drive[a] < s.drive[b]
+		}
+		return src.day[a] < src.day[b]
+	})
+	kept := order[:0]
+	for k, r := range order {
+		if next := k + 1; next < len(order) && s.drive[order[next]] == s.drive[r] && src.day[order[next]] == src.day[r] {
+			continue // a later row of the same drive and day wins
+		}
+		kept = append(kept, r)
+	}
+	out := NewFrameArena(len(kept))
+	out.shareFirmwareTable(src)
+	start := 0
+	for row, r := range kept {
+		out.day[row] = src.day[r]
+		out.interp[row] = src.interp[r]
+		out.fw[row] = src.fw[r]
+		copy(out.SmartRow(row), src.SmartRow(r))
+		copy(out.WRow(row), src.WRow(r))
+		copy(out.BRow(row), src.BRow(r))
+		if last := row + 1; last == len(kept) || s.drive[kept[last]] != s.drive[r] {
+			id := &s.ids[s.drive[r]]
+			if err := out.AddDrive(id.SerialNumber, id.Vendor, id.Model, start, last); err != nil {
+				return nil, err
+			}
+			start = last
+		}
+	}
+	return out, nil
 }
 
 // parseRowInto fills rec from a CSV row, reusing its count slices.

@@ -18,10 +18,10 @@ func TestCSVRoundTrip(t *testing.T) {
 	s.Records[1].BCounts[3] = 2.5
 
 	var buf bytes.Buffer
-	if err := WriteCSV(&buf, d); err != nil {
+	if err := writeCSVRecords(&buf, d); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(&buf)
+	got, err := readCSVRecords(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestCSVRoundTrip(t *testing.T) {
 func TestCSVRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		d := New()
+		d := newRecordSet()
 		for drive := 0; drive < 1+r.Intn(4); drive++ {
 			sn := string(rune('A' + drive))
 			day := 0
@@ -65,10 +65,10 @@ func TestCSVRoundTripProperty(t *testing.T) {
 			}
 		}
 		var buf bytes.Buffer
-		if err := WriteCSV(&buf, d); err != nil {
+		if err := writeCSVRecords(&buf, d); err != nil {
 			return false
 		}
-		got, err := ReadCSV(&buf)
+		got, err := readCSVRecords(&buf)
 		if err != nil {
 			return false
 		}
@@ -111,7 +111,7 @@ func TestCSVRoundTripProperty(t *testing.T) {
 
 func TestReadCSVRejectsBadHeader(t *testing.T) {
 	in := "nope,header\n"
-	if _, err := ReadCSV(strings.NewReader(in)); err == nil {
+	if _, err := readCSVRecords(strings.NewReader(in)); err == nil {
 		t.Fatal("bad header accepted")
 	}
 }
@@ -119,7 +119,7 @@ func TestReadCSVRejectsBadHeader(t *testing.T) {
 func TestReadCSVRejectsBadValues(t *testing.T) {
 	d := buildSet(t, map[string][]int{"A": {0}})
 	var buf bytes.Buffer
-	if err := WriteCSV(&buf, d); err != nil {
+	if err := writeCSVRecords(&buf, d); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -127,7 +127,7 @@ func TestReadCSVRejectsBadValues(t *testing.T) {
 	cells := strings.Split(lines[1], ",")
 	cells[3] = "notaday"
 	corrupted := lines[0] + "\n" + strings.Join(cells, ",") + "\n"
-	if _, err := ReadCSV(strings.NewReader(corrupted)); err == nil {
+	if _, err := readCSVRecords(strings.NewReader(corrupted)); err == nil {
 		t.Fatal("bad day value accepted")
 	}
 }

@@ -3,6 +3,7 @@ package dataset
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"repro/internal/bsod"
 	"repro/internal/firmware"
@@ -32,20 +33,22 @@ type FrameDrive struct {
 // Rows returns the drive's record count.
 func (d *FrameDrive) Rows() int { return int(d.End - d.Start) }
 
-// Frame is the columnar (structure-of-arrays) drive-day telemetry
-// arena: one flat column per field — day index, the 16 SMART
-// attributes, the W and B counters, an interned firmware code, and the
-// interpolated flag — plus the per-drive row ranges and identity
-// strings. It holds exactly the information of a Dataset, laid out so
-// the preprocessing pipeline streams each drive's rows without
-// touching per-record heap objects.
+// Frame is the one in-memory form of drive-day telemetry: a columnar
+// (structure-of-arrays) arena with one flat column per field — day
+// index, the 16 SMART attributes, the W and B counters, an interned
+// firmware code, and the interpolated flag — plus the per-drive row
+// ranges and identity strings. Drives keep their registration order
+// and each drive's rows are in strictly increasing day order, so the
+// preprocessing pipeline streams each drive's rows without touching
+// per-record heap objects.
 //
 // A frame built by NewFrameArena is mutable while it is being filled
 // (the Set*/AddDrive/Intern* methods); once handed to readers it must
 // be treated as immutable. Drive row ranges do not have to cover the
 // whole arena (the fleet simulator leaves slack rows between drives,
-// and FilterVendor shares the arena of its parent), so all iteration
-// goes through the drives' [Start, End) ranges, never over raw rows.
+// and the FilterVendor and Until views share the arena of their
+// parent), so all iteration goes through the drives' [Start, End)
+// ranges, never over raw rows.
 type Frame struct {
 	drives []FrameDrive
 	bySN   map[string]int32
@@ -84,7 +87,7 @@ func NewFrameArena(rows int) *Frame {
 // Drives returns the number of drives.
 func (f *Frame) Drives() int { return len(f.drives) }
 
-// Drive returns drive i in registration (dataset insertion) order. The
+// Drive returns drive i in registration order. The
 // pointer aliases frame state; callers must not modify it.
 func (f *Frame) Drive(i int) *FrameDrive { return &f.drives[i] }
 
@@ -224,14 +227,10 @@ func (f *Frame) AddDrive(sn, vendor, model string, start, end int) error {
 	return nil
 }
 
-// FilterVendor returns a frame holding only the given vendor's drives.
-// Columns are shared with f, not copied; the result is a read-only
-// view. An empty vendor returns f itself.
-func (f *Frame) FilterVendor(vendor string) *Frame {
-	if vendor == "" {
-		return f
-	}
-	out := &Frame{
+// view returns a read-only frame sharing f's columns, firmware table
+// and cumulated marker, with no drives registered yet.
+func (f *Frame) view() *Frame {
+	return &Frame{
 		bySN:      make(map[string]int32),
 		day:       f.day,
 		interp:    f.interp,
@@ -243,14 +242,44 @@ func (f *Frame) FilterVendor(vendor string) *Frame {
 		fwIdx:     f.fwIdx,
 		cumulated: f.cumulated,
 	}
+}
+
+// addViewDrive registers d on a view without re-validating its rows.
+func (f *Frame) addViewDrive(d FrameDrive) {
+	f.bySN[d.SerialNumber] = int32(len(f.drives))
+	f.drives = append(f.drives, d)
+	f.length += d.Rows()
+}
+
+// FilterVendor returns a frame holding only the given vendor's drives.
+// Columns are shared with f, not copied; the result is a read-only
+// view. An empty vendor returns f itself.
+func (f *Frame) FilterVendor(vendor string) *Frame {
+	if vendor == "" {
+		return f
+	}
+	out := f.view()
 	for i := range f.drives {
-		d := &f.drives[i]
-		if d.Vendor != vendor {
+		if f.drives[i].Vendor == vendor {
+			out.addViewDrive(f.drives[i])
+		}
+	}
+	return out
+}
+
+// Until returns the fleet's knowledge as of day: a read-only view of
+// the rows observed on or before day. Drive order is kept, drives with
+// no such row are left out, and columns are shared with f, not copied.
+func (f *Frame) Until(day int) *Frame {
+	out := f.view()
+	for _, d := range f.drives {
+		days := f.day[d.Start:d.End]
+		cut := sort.Search(len(days), func(i int) bool { return int(days[i]) > day })
+		if cut == 0 {
 			continue
 		}
-		out.bySN[d.SerialNumber] = int32(len(out.drives))
-		out.drives = append(out.drives, *d)
-		out.length += d.Rows()
+		d.End = d.Start + int32(cut)
+		out.addViewDrive(d)
 	}
 	return out
 }
@@ -269,84 +298,70 @@ func (f *Frame) Vendors() []string {
 	return out
 }
 
-// FrameFromDataset converts record-form telemetry into a compact
-// columnar frame, preserving drive insertion order and the cumulated
-// marker. Drives with no records are skipped (Dataset cannot normally
-// hold them).
-func FrameFromDataset(d *Dataset) (*Frame, error) {
-	f := NewFrameArena(d.Len())
-	row := 0
-	for _, sn := range d.order {
-		s := d.bySN[sn]
-		if len(s.Records) == 0 {
-			continue
-		}
-		start := row
-		for i := range s.Records {
-			r := &s.Records[i]
-			f.day[row] = int32(r.Day)
-			copy(f.SmartRow(row), r.Smart[:])
-			copy(f.WRow(row), r.WCounts)
-			copy(f.BRow(row), r.BCounts)
-			f.interp[row] = r.Interpolated
-			f.SetFirmware(row, r.Firmware)
-			row++
-		}
-		if err := f.AddDrive(sn, s.Vendor, s.Model, start, row); err != nil {
-			return nil, err
-		}
-	}
-	f.cumulated = d.cumulated
-	return f, nil
+// DriveSeries is one drive's telemetry in record form, as Frame.Series
+// and Frame.Each hand it out.
+type DriveSeries struct {
+	SerialNumber string
+	Vendor       string
+	Model        string
+	Records      []Record // ascending days, one per day at most
 }
 
-// ToDataset materialises the frame as record-form telemetry — the
-// compat adapter for consumers that still walk []Record slices. Count
-// vectors are copied, so the dataset does not alias the arena.
-func (f *Frame) ToDataset() *Dataset {
-	d := New()
-	for di := range f.drives {
-		fd := &f.drives[di]
-		s := &DriveSeries{SerialNumber: fd.SerialNumber, Vendor: fd.Vendor, Model: fd.Model}
-		s.Records = make([]Record, 0, fd.Rows())
-		wflat := make([]float64, fd.Rows()*wWidth)
-		bflat := make([]float64, fd.Rows()*bWidth)
-		for row := int(fd.Start); row < int(fd.End); row++ {
-			k := row - int(fd.Start)
-			wc := winevent.Counts(wflat[k*wWidth : (k+1)*wWidth : (k+1)*wWidth])
-			bc := bsod.Counts(bflat[k*bWidth : (k+1)*bWidth : (k+1)*bWidth])
-			copy(wc, f.WRow(row))
-			copy(bc, f.BRow(row))
-			rec := Record{
-				SerialNumber: fd.SerialNumber,
-				Vendor:       fd.Vendor,
-				Model:        fd.Model,
-				Day:          int(f.day[row]),
-				Firmware:     f.fwTab[f.fw[row]],
-				WCounts:      wc,
-				BCounts:      bc,
-				Interpolated: f.interp[row],
-			}
-			copy(rec.Smart[:], f.SmartRow(row))
-			s.Records = append(s.Records, rec)
-		}
-		d.bySN[fd.SerialNumber] = s
-		d.order = append(d.order, fd.SerialNumber)
+// Series returns drive sn's rows as records, if the drive is present:
+// the record form day-batch feeds and per-record consumers take. The
+// records are read-only. SMART values are copied into each Record, but
+// its WCounts and BCounts alias the frame's rows (capped, so an append
+// cannot spill into the next row); copy a record with Record.Clone
+// before changing it.
+func (f *Frame) Series(sn string) (*DriveSeries, bool) {
+	i, ok := f.bySN[sn]
+	if !ok {
+		return nil, false
 	}
-	d.cumulated = f.cumulated
-	return d
+	return f.series(int(i)), true
 }
+
+// Each calls fn with every drive's series, in registration order. The
+// records are read-only, as for Series.
+func (f *Frame) Each(fn func(*DriveSeries)) {
+	for i := range f.drives {
+		fn(f.series(i))
+	}
+}
+
+func (f *Frame) series(i int) *DriveSeries {
+	d := &f.drives[i]
+	s := &DriveSeries{SerialNumber: d.SerialNumber, Vendor: d.Vendor, Model: d.Model,
+		Records: make([]Record, d.Rows())}
+	for k := range s.Records {
+		row := int(d.Start) + k
+		r := &s.Records[k]
+		r.SerialNumber, r.Vendor, r.Model = d.SerialNumber, d.Vendor, d.Model
+		r.Day = int(f.day[row])
+		r.Firmware = f.fwTab[f.fw[row]]
+		r.WCounts = f.WRow(row)
+		r.BCounts = f.BRow(row)
+		r.Interpolated = f.interp[row]
+		copy(r.Smart[:], f.SmartRow(row))
+	}
+	return s
+}
+
+// FrameFromDataset returns f unchanged. It keeps the benchmark harness
+// under e2ebench/, its only caller, compiling across the removal of the
+// record-form dataset; delete it when that harness moves to the frame
+// API.
+func FrameFromDataset(f *Frame) (*Frame, error) { return f, nil }
 
 // ErrRowOrder reports telemetry that is not grouped by drive in
 // ascending day order — the streaming FrameBuilder's one requirement.
-// Callers that cannot guarantee the order fall back to Dataset.Append
-// plus FrameFromDataset.
+// ReadCSVFrame falls back to buffering and sorting such input.
 var ErrRowOrder = errors.New("dataset: rows not grouped by drive in ascending day order")
 
 // FrameBuilder assembles a frame from a stream of rows — the
 // collection-agent and CSV ingest path. Rows must arrive grouped by
 // drive with non-decreasing days (a repeated day replaces the previous
-// row, matching Dataset.Append); anything else fails with ErrRowOrder.
+// row); anything else fails with ErrRowOrder.
 type FrameBuilder struct {
 	f   *Frame
 	cur int // index of the open drive, -1 when none
@@ -362,6 +377,44 @@ func NewFrameBuilder() *FrameBuilder {
 // Values are copied into the frame's columns.
 func (b *FrameBuilder) AppendRow(sn, vendor, model string, day int, fw firmware.Version,
 	smart *smartattr.Values, w winevent.Counts, bc bsod.Counts, interp bool) error {
+	if err := checkRow(sn, day, smart, w, bc); err != nil {
+		return err
+	}
+	f := b.f
+	var row int
+	if b.cur >= 0 && f.drives[b.cur].SerialNumber == sn {
+		d := &f.drives[b.cur]
+		if err := checkIdentity(d, vendor, model); err != nil {
+			return err
+		}
+		last := int(f.day[d.End-1])
+		switch {
+		case day > last:
+			row = f.growRow()
+			d.End++
+		case day == last:
+			row = int(d.End) - 1 // same-day re-observation supersedes
+		default:
+			return fmt.Errorf("%w: drive %s day %d after day %d", ErrRowOrder, sn, day, last)
+		}
+	} else {
+		if _, seen := f.bySN[sn]; seen {
+			return fmt.Errorf("%w: drive %s reappears after another drive", ErrRowOrder, sn)
+		}
+		row = f.growRow()
+		f.bySN[sn] = int32(len(f.drives))
+		f.drives = append(f.drives, FrameDrive{
+			SerialNumber: sn, Vendor: vendor, Model: model,
+			Start: int32(row), End: int32(row) + 1,
+		})
+		b.cur = len(f.drives) - 1
+	}
+	f.setRow(row, day, fw, smart, w, bc, interp)
+	return nil
+}
+
+// checkRow validates one observation's identity and payload.
+func checkRow(sn string, day int, smart *smartattr.Values, w winevent.Counts, bc bsod.Counts) error {
 	if sn == "" {
 		return errors.New("dataset: record has empty serial number")
 	}
@@ -374,41 +427,33 @@ func (b *FrameBuilder) AppendRow(sn, vendor, model string, day int, fw firmware.
 	if bc != nil && len(bc) != bWidth {
 		return fmt.Errorf("dataset: record %s has %d B counters, want %d", sn, len(bc), bWidth)
 	}
-	if err := validateValues(sn, smart[:], w, bc); err != nil {
-		return err
+	return validateValues(sn, smart[:], w, bc)
+}
+
+// checkIdentity rejects a row whose vendor or model differs from its
+// drive's.
+func checkIdentity(d *FrameDrive, vendor, model string) error {
+	if d.Vendor != vendor || d.Model != model {
+		return fmt.Errorf("dataset: drive %s changes identity: have %s/%s, got %s/%s",
+			d.SerialNumber, d.Vendor, d.Model, vendor, model)
 	}
-	f := b.f
-	var row int
-	if b.cur >= 0 && f.drives[b.cur].SerialNumber == sn {
-		d := &f.drives[b.cur]
-		if d.Vendor != vendor || d.Model != model {
-			return fmt.Errorf("dataset: drive %s changes identity: have %s/%s, got %s/%s",
-				sn, d.Vendor, d.Model, vendor, model)
-		}
-		last := int(f.day[d.End-1])
-		switch {
-		case day > last:
-			row = int(d.End)
-			b.grow()
-			d.End++
-		case day == last:
-			row = int(d.End) - 1 // same-day re-observation supersedes
-		default:
-			return fmt.Errorf("%w: drive %s day %d after day %d", ErrRowOrder, sn, day, last)
-		}
-	} else {
-		if _, seen := f.bySN[sn]; seen {
-			return fmt.Errorf("%w: drive %s reappears after another drive", ErrRowOrder, sn)
-		}
-		row = len(f.day)
-		b.grow()
-		f.bySN[sn] = int32(len(f.drives))
-		f.drives = append(f.drives, FrameDrive{
-			SerialNumber: sn, Vendor: vendor, Model: model,
-			Start: int32(row), End: int32(row) + 1,
-		})
-		b.cur = len(f.drives) - 1
-	}
+	return nil
+}
+
+// growRow extends every column by one row and returns its index.
+func (f *Frame) growRow() int {
+	f.day = append(f.day, 0)
+	f.interp = append(f.interp, false)
+	f.fw = append(f.fw, 0)
+	f.smart = append(f.smart, make([]float64, smartWidth)...)
+	f.w = append(f.w, make([]float64, wWidth)...)
+	f.b = append(f.b, make([]float64, bWidth)...)
+	return len(f.day) - 1
+}
+
+// setRow writes one observation into row; nil w/b mean all-zero
+// counts. Serial-only: it interns the firmware version.
+func (f *Frame) setRow(row, day int, fw firmware.Version, smart *smartattr.Values, w winevent.Counts, bc bsod.Counts, interp bool) {
 	f.day[row] = int32(day)
 	f.interp[row] = interp
 	f.SetFirmware(row, fw)
@@ -424,18 +469,6 @@ func (b *FrameBuilder) AppendRow(sn, vendor, model string, day int, fw firmware.
 	} else {
 		clear(br)
 	}
-	return nil
-}
-
-// grow extends every column by one row.
-func (b *FrameBuilder) grow() {
-	f := b.f
-	f.day = append(f.day, 0)
-	f.interp = append(f.interp, false)
-	f.fw = append(f.fw, 0)
-	f.smart = append(f.smart, make([]float64, smartWidth)...)
-	f.w = append(f.w, make([]float64, wWidth)...)
-	f.b = append(f.b, make([]float64, bWidth)...)
 }
 
 // Append adds a record (validated) to the stream.

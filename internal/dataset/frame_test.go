@@ -17,14 +17,14 @@ import (
 	"repro/internal/winevent"
 )
 
-// randomDataset synthesises a fleet with irregular day coverage,
+// randomRecords synthesises a fleet with irregular day coverage,
 // negative zeros, fractional counts, and mid-life firmware changes —
 // everything the bit-exactness comparisons need to be meaningful.
 // (The dataset tests cannot import simfleet, which imports dataset.)
-func randomDataset(seed int64, drives int) *Dataset {
+func randomRecords(seed int64, drives int) *recordSet {
 	rng := rand.New(rand.NewSource(seed))
 	vendors := []string{"I", "S", "T"}
-	d := New()
+	d := newRecordSet()
 	for dr := 0; dr < drives; dr++ {
 		vendor := vendors[rng.Intn(len(vendors))]
 		sn := fmt.Sprintf("%s-%04d", vendor, dr)
@@ -79,10 +79,10 @@ func randomValue(rng *rand.Rand) float64 {
 	}
 }
 
-// requireDatasetsEqualBits asserts two datasets agree exactly,
+// requireRecordsEqualBits asserts two datasets agree exactly,
 // including the bit patterns of every float (so +0 vs -0 and any
 // arithmetic reordering fail loudly).
-func requireDatasetsEqualBits(t *testing.T, want, got *Dataset) {
+func requireRecordsEqualBits(t *testing.T, want, got *recordSet) {
 	t.Helper()
 	if want.Cumulated() != got.Cumulated() {
 		t.Fatalf("cumulated marker: want %v, got %v", want.Cumulated(), got.Cumulated())
@@ -137,32 +137,36 @@ func requireDatasetsEqualBits(t *testing.T, want, got *Dataset) {
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	d := randomDataset(1, 30)
-	f, err := FrameFromDataset(d)
+	d := randomRecords(1, 30)
+	f, err := frameOf(d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.Len() != d.Len() || f.Drives() != d.Drives() {
-		t.Fatalf("frame shape %d rows/%d drives, dataset %d/%d", f.Len(), f.Drives(), d.Len(), d.Drives())
+		t.Fatalf("frame shape %d rows/%d drives, records %d/%d", f.Len(), f.Drives(), d.Len(), d.Drives())
 	}
-	requireDatasetsEqualBits(t, d, f.ToDataset())
+	requireRecordsEqualBits(t, d, recordsOf(f))
 }
 
 func TestFrameRoundTripCumulated(t *testing.T) {
-	d := randomDataset(2, 10)
-	cumulateRecords(d)
-	f, err := FrameFromDataset(d)
+	d := randomRecords(2, 10)
+	raw, err := frameOf(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, _, err := PreparePipeline(raw, PipelineOptions{SkipClean: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !f.Cumulated() {
-		t.Fatal("cumulated marker lost in FrameFromDataset")
+		t.Fatal("cumulated marker not set")
 	}
-	requireDatasetsEqualBits(t, d, f.ToDataset())
+	cumulateRecords(d)
+	requireRecordsEqualBits(t, d, recordsOf(f))
 }
 
 func TestFrameBuilderStream(t *testing.T) {
-	d := randomDataset(3, 20)
+	d := randomRecords(3, 20)
 	b := NewFrameBuilder()
 	d.Each(func(s *DriveSeries) {
 		for i := range s.Records {
@@ -171,7 +175,7 @@ func TestFrameBuilderStream(t *testing.T) {
 			}
 		}
 	})
-	requireDatasetsEqualBits(t, d, b.Finish().ToDataset())
+	requireRecordsEqualBits(t, d, recordsOf(b.Finish()))
 }
 
 func TestFrameBuilderSameDayReplaces(t *testing.T) {
@@ -266,27 +270,27 @@ func TestAddDriveValidatesDays(t *testing.T) {
 }
 
 func TestFilterVendorView(t *testing.T) {
-	d := randomDataset(4, 30)
-	f, err := FrameFromDataset(d)
+	d := randomRecords(4, 30)
+	f, err := frameOf(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := d.Filter(func(s *DriveSeries) bool { return s.Vendor == "I" })
+	want := d.filter(func(s *DriveSeries) bool { return s.Vendor == "I" })
 	got := f.FilterVendor("I")
-	requireDatasetsEqualBits(t, want, got.ToDataset())
+	requireRecordsEqualBits(t, want, recordsOf(got))
 	if f.FilterVendor("") != f {
 		t.Fatal("empty vendor should return the frame itself")
 	}
 }
 
 func TestWriteCSVFrameMatchesWriteCSV(t *testing.T) {
-	d := randomDataset(5, 15)
-	f, err := FrameFromDataset(d)
+	d := randomRecords(5, 15)
+	f, err := frameOf(d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var recBuf, frameBuf bytes.Buffer
-	if err := WriteCSV(&recBuf, d); err != nil {
+	if err := writeCSVRecords(&recBuf, d); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteCSVFrame(&frameBuf, f); err != nil {
@@ -298,16 +302,16 @@ func TestWriteCSVFrameMatchesWriteCSV(t *testing.T) {
 }
 
 func TestReadCSVFrameRoundTrip(t *testing.T) {
-	d := randomDataset(6, 15)
+	d := randomRecords(6, 15)
 	var buf bytes.Buffer
-	if err := WriteCSV(&buf, d); err != nil {
+	if err := writeCSVRecords(&buf, d); err != nil {
 		t.Fatal(err)
 	}
 	f, err := ReadCSVFrame(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireDatasetsEqualBits(t, d, f.ToDataset())
+	requireRecordsEqualBits(t, d, recordsOf(f))
 }
 
 func TestReadCSVFrameFallbackOnInterleavedRows(t *testing.T) {
@@ -424,7 +428,7 @@ func csvRow(r *Record) []string {
 }
 
 func TestCumulateTwiceErrors(t *testing.T) {
-	f, err := FrameFromDataset(buildSet(t, map[string][]int{"A": {0, 1, 2}}))
+	f, err := frameOf(buildSet(t, map[string][]int{"A": {0, 1, 2}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,20 +445,22 @@ func TestCumulateTwiceErrors(t *testing.T) {
 }
 
 func TestCumulatedMarkerPropagates(t *testing.T) {
-	d := buildSet(t, map[string][]int{"A": {0, 1, 2}, "B": {0, 1}})
-	cumulateRecords(d)
-	if !d.Clone().Cumulated() {
-		t.Fatal("Clone dropped the cumulated marker")
-	}
-	if !d.Filter(func(*DriveSeries) bool { return true }).Cumulated() {
-		t.Fatal("Filter dropped the cumulated marker")
-	}
-	if !d.Until(1).Cumulated() {
-		t.Fatal("Until dropped the cumulated marker")
-	}
-	f, err := FrameFromDataset(d)
+	raw, err := frameOf(buildSet(t, map[string][]int{"A": {0, 1, 2}, "B": {0, 1}}))
 	if err != nil {
 		t.Fatal(err)
+	}
+	f, _, err := PreparePipeline(raw, PipelineOptions{SkipClean: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !f.FilterVendor("I").Cumulated() {
+		t.Fatal("FilterVendor dropped the cumulated marker")
+	}
+	if !f.Until(1).Cumulated() {
+		t.Fatal("Until dropped the cumulated marker")
+	}
+	if !recordsOf(f).Cumulated() {
+		t.Fatal("the record view dropped the cumulated marker")
 	}
 	cleaned, _, err := PreparePipeline(f, PipelineOptions{Policy: DefaultGapPolicy(), SkipCumulate: true})
 	if err != nil {
@@ -468,7 +474,7 @@ func TestCumulatedMarkerPropagates(t *testing.T) {
 func TestPreparePipelineRejectsCumulatedFrame(t *testing.T) {
 	d := buildSet(t, map[string][]int{"A": {0, 1, 2}})
 	cumulateRecords(d)
-	f, err := FrameFromDataset(d)
+	f, err := frameOf(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,17 +488,14 @@ func TestPreparePipelineRejectsCumulatedFrame(t *testing.T) {
 }
 
 func TestGapHistogramGuardsNonPositiveGaps(t *testing.T) {
-	// Hand-assemble a corrupt series (Append would reject it) to pin
+	// Hand-assemble a corrupt drive (AddDrive would reject it) to pin
 	// the guard: duplicate and backwards days land in bucket 0.
-	d := New()
-	s := &DriveSeries{SerialNumber: "X", Vendor: "I", Model: "M"}
-	for _, day := range []int{5, 5, 3, 9} {
-		r := rec("X", day)
-		s.Records = append(s.Records, r)
+	f := NewFrameArena(4)
+	for row, day := range []int32{5, 5, 3, 9} {
+		f.SetDay(row, day)
 	}
-	d.bySN["X"] = s
-	d.order = append(d.order, "X")
-	hist := GapHistogram(d, 10)
+	f.drives = append(f.drives, FrameDrive{SerialNumber: "X", Vendor: "I", Model: "M", Start: 0, End: 4})
+	hist := GapHistogram(f, 10)
 	if hist[0] != 2 {
 		t.Fatalf("non-positive gaps in bucket 0 = %d, want 2", hist[0])
 	}
@@ -503,7 +506,7 @@ func TestGapHistogramGuardsNonPositiveGaps(t *testing.T) {
 
 // preparedRecordPath runs the record-form oracle of the clean and
 // cumulate stages that PreparePipeline fuses.
-func preparedRecordPath(t *testing.T, d *Dataset, policy GapPolicy, skipClean, skipCumulate bool) (*Dataset, CleanStats) {
+func preparedRecordPath(t *testing.T, d *recordSet, policy GapPolicy, skipClean, skipCumulate bool) (*recordSet, CleanStats) {
 	t.Helper()
 	var stats CleanStats
 	out := d
@@ -525,8 +528,8 @@ func preparedRecordPath(t *testing.T, d *Dataset, policy GapPolicy, skipClean, s
 func TestPreparePipelineMatchesRecordPath(t *testing.T) {
 	policies := []GapPolicy{DefaultGapPolicy(), {DropGap: 5, FillGap: 2}, {DropGap: 13, FillGap: 9}}
 	for seed := int64(0); seed < 4; seed++ {
-		d := randomDataset(seed, 25)
-		f, err := FrameFromDataset(d)
+		d := randomRecords(seed, 25)
+		f, err := frameOf(d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -541,15 +544,15 @@ func TestPreparePipelineMatchesRecordPath(t *testing.T) {
 					t.Fatalf("seed %d policy %+v workers %d: stats %+v, want %+v",
 						seed, policy, workers, gotStats, wantStats)
 				}
-				requireDatasetsEqualBits(t, want, got.ToDataset())
+				requireRecordsEqualBits(t, want, recordsOf(got))
 			}
 		}
 	}
 }
 
 func TestPreparePipelineAblations(t *testing.T) {
-	d := randomDataset(7, 20)
-	f, err := FrameFromDataset(d)
+	d := randomRecords(7, 20)
+	f, err := frameOf(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,13 +570,13 @@ func TestPreparePipelineAblations(t *testing.T) {
 		if wantStats != gotStats {
 			t.Fatalf("case %+v: stats %+v, want %+v", c, gotStats, wantStats)
 		}
-		requireDatasetsEqualBits(t, want, got.ToDataset())
+		requireRecordsEqualBits(t, want, recordsOf(got))
 	}
 }
 
 func TestPreparePipelineWorkerDeterminism(t *testing.T) {
-	d := randomDataset(8, 40)
-	f, err := FrameFromDataset(d)
+	d := randomRecords(8, 40)
+	f, err := frameOf(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,7 +589,7 @@ func TestPreparePipelineWorkerDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireDatasetsEqualBits(t, base.ToDataset(), got.ToDataset())
+		requireRecordsEqualBits(t, recordsOf(base), recordsOf(got))
 	}
 }
 
@@ -602,8 +605,8 @@ func FuzzPreparePipeline(f *testing.F) {
 		if policy.Validate() != nil {
 			t.Skip()
 		}
-		d := randomDataset(seed, 12)
-		fr, err := FrameFromDataset(d)
+		d := randomRecords(seed, 12)
+		fr, err := frameOf(d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -615,29 +618,29 @@ func FuzzPreparePipeline(f *testing.F) {
 		if wantStats != gotStats {
 			t.Fatalf("stats %+v, want %+v", gotStats, wantStats)
 		}
-		requireDatasetsEqualBits(t, want, got.ToDataset())
+		requireRecordsEqualBits(t, want, recordsOf(got))
 	})
 }
 
 // FuzzReadCSVFrame mirrors FuzzReadCSV for the streaming frame reader:
 // it must never panic, and whatever parses must match ReadCSV.
 func FuzzReadCSVFrame(f *testing.F) {
-	d := New()
+	d := newRecordSet()
 	_ = d.Append(rec("A", 1))
 	var sb strings.Builder
-	_ = WriteCSV(&sb, d)
+	_ = writeCSVRecords(&sb, d)
 	f.Add(sb.String())
 	f.Add("")
 	f.Add(strings.Repeat("x,", 53) + "x\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		fr, frameErr := ReadCSVFrame(strings.NewReader(input))
-		ds, dsErr := ReadCSV(strings.NewReader(input))
+		ds, dsErr := readCSVRecords(strings.NewReader(input))
 		if (frameErr == nil) != (dsErr == nil) {
 			t.Fatalf("reader disagreement: frame err %v, dataset err %v", frameErr, dsErr)
 		}
 		if frameErr != nil {
 			return
 		}
-		requireDatasetsEqualBits(t, ds, fr.ToDataset())
+		requireRecordsEqualBits(t, ds, recordsOf(fr))
 	})
 }

@@ -5,24 +5,24 @@ import (
 	"testing"
 )
 
-// FuzzReadCSV asserts the dataset reader never panics and either errors
-// or returns a structurally valid dataset.
+// FuzzReadCSV asserts the CSV frame reader never panics and either
+// errors or returns a structurally valid frame.
 func FuzzReadCSV(f *testing.F) {
-	d := New()
+	d := newRecordSet()
 	r := rec("A", 1)
 	_ = d.Append(r)
 	var sb strings.Builder
-	_ = WriteCSV(&sb, d)
+	_ = writeCSVRecords(&sb, d)
 	f.Add(sb.String())
 	f.Add("")
 	f.Add("sn,vendor\n")
 	f.Add(strings.Repeat("x,", 53) + "x\n")
 	f.Fuzz(func(t *testing.T, input string) {
-		got, err := ReadCSV(strings.NewReader(input))
+		got, err := ReadCSVFrame(strings.NewReader(input))
 		if err != nil {
 			return
 		}
-		// Whatever parsed must satisfy the dataset invariants.
+		// Whatever parsed must satisfy the frame invariants.
 		got.Each(func(s *DriveSeries) {
 			for i := 1; i < len(s.Records); i++ {
 				if s.Records[i].Day <= s.Records[i-1].Day {

@@ -10,7 +10,7 @@ import (
 // invariants (dense packing, registered drives covering every row,
 // strictly increasing days — AddDrive enforces the latter).
 func FuzzReadMFPAC(f *testing.F) {
-	frame, err := FrameFromDataset(randomDataset(1, 4))
+	frame, err := frameOf(randomRecords(1, 4))
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func mfpacBytes(t *testing.T, f *Frame, workers, blockRows int) []byte {
 // block geometries, and reader/writer worker counts.
 func TestMFPACRoundTrip(t *testing.T) {
 	for _, seed := range []int64{1, 2, 7} {
-		want, err := FrameFromDataset(randomDataset(seed, 12))
+		want, err := frameOf(randomRecords(seed, 12))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func TestMFPACRoundTrip(t *testing.T) {
 					t.Fatalf("seed %d blockRows %d workers %d: %v", seed, blockRows, workers, err)
 				}
 				requireFramesEqualBits(t, want, got)
-				requireDatasetsEqualBits(t, want.ToDataset(), got.ToDataset())
+				requireRecordsEqualBits(t, recordsOf(want), recordsOf(got))
 			}
 		}
 	}
@@ -93,9 +93,9 @@ func TestMFPACRoundTrip(t *testing.T) {
 // TestMFPACRoundTripCumulated keeps the cumulated marker across the
 // container, so a cumulated file cannot be cumulated twice downstream.
 func TestMFPACRoundTripCumulated(t *testing.T) {
-	d := randomDataset(3, 6)
+	d := randomRecords(3, 6)
 	cumulateRecords(d)
-	want, err := FrameFromDataset(d)
+	want, err := frameOf(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestMFPACRoundTripCumulated(t *testing.T) {
 // (the other frame shape tools persist) through the container across
 // gap policies.
 func TestMFPACRoundTripGapPolicies(t *testing.T) {
-	raw, err := FrameFromDataset(randomDataset(11, 16))
+	raw, err := frameOf(randomRecords(11, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestMFPACRoundTripGapPolicies(t *testing.T) {
 // TestMFPACWriterDeterminism pins the container bytes across encode
 // worker counts.
 func TestMFPACWriterDeterminism(t *testing.T) {
-	f, err := FrameFromDataset(randomDataset(5, 20))
+	f, err := frameOf(randomRecords(5, 20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestMFPACWriterDeterminism(t *testing.T) {
 // relies on: the frame loaded from an .mfpac file is bit-identical to
 // the frame loaded from the CSV written off the same source.
 func TestMFPACMatchesCSVTwin(t *testing.T) {
-	src, err := FrameFromDataset(randomDataset(9, 15))
+	src, err := frameOf(randomRecords(9, 15))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestMFPACMatchesCSVTwin(t *testing.T) {
 // TestMFPACFilterVendorView writes a shared-arena vendor view; the
 // file must describe only the view's drives, densely packed.
 func TestMFPACFilterVendorView(t *testing.T) {
-	full, err := FrameFromDataset(randomDataset(4, 18))
+	full, err := frameOf(randomRecords(4, 18))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestMFPACEmptyFrame(t *testing.T) {
 // of the three CRCs or the structural checks), bad magic, and a bad
 // version — and never panic.
 func TestMFPACCorruption(t *testing.T) {
-	f, err := FrameFromDataset(randomDataset(6, 5))
+	f, err := frameOf(randomRecords(6, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestMFPACCorruption(t *testing.T) {
 // TestReadTelemetryAutoDetect routes by magic bytes: MFPAC containers
 // to the block codec, anything else to the CSV reader.
 func TestReadTelemetryAutoDetect(t *testing.T) {
-	want, err := FrameFromDataset(randomDataset(8, 7))
+	want, err := frameOf(randomRecords(8, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestFormatHelpers(t *testing.T) {
 		t.Fatalf("FormatForPath .csv: %v", f)
 	}
 
-	want, err := FrameFromDataset(randomDataset(10, 4))
+	want, err := frameOf(randomRecords(10, 4))
 	if err != nil {
 		t.Fatal(err)
 	}

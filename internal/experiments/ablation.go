@@ -61,10 +61,10 @@ func (c *Context) runVariant(setting string, mutate func(*core.Config)) (Ablatio
 }
 
 // runVariantOn trains one pipeline variant against an explicit fleet.
-func (c *Context) runVariantOn(fleet *simfleet.FrameResult, setting string, mutate func(*core.Config)) (AblationRow, error) {
+func (c *Context) runVariantOn(fleet *simfleet.Result, setting string, mutate func(*core.Config)) (AblationRow, error) {
 	cfg := c.PipelineConfig(primaryVendor, features.GroupSFWB)
 	mutate(&cfg)
-	p, err := core.PrepareFrame(fleet.Frame, fleet.Tickets, cfg)
+	p, err := core.PrepareFrame(fleet.Data, fleet.Tickets, cfg)
 	if err != nil {
 		return AblationRow{}, fmt.Errorf("experiments: variant %s: %w", setting, err)
 	}
@@ -85,13 +85,13 @@ func variantRow(setting string, p *core.Prepared) (AblationRow, error) {
 // flaky machines early, a small θ leaves many failures unlabellable
 // (starving the positive class) while a large θ back-dates labels into
 // barely-degraded territory (polluting it).
-func (c *Context) thetaFleet() (*simfleet.FrameResult, error) {
+func (c *Context) thetaFleet() (*simfleet.Result, error) {
 	cfg := c.Cfg
 	cfg.TicketDelayMeanDays = 9
 	cfg.TicketDelayMaxDays = 30
 	cfg.AbandonShare = 0.5
 	cfg.AbandonMaxDays = 15
-	return simfleet.SimulateFrame(cfg)
+	return simfleet.Simulate(cfg)
 }
 
 // AblationTheta sweeps the failure-time threshold θ (the paper sets 7

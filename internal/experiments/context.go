@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/features"
 	"repro/internal/firmware"
 	"repro/internal/ml"
@@ -39,10 +38,6 @@ type Context struct {
 	// 1 = serial). It is seeded from the fleet config's Workers field
 	// and never changes results, only wall-clock time.
 	Workers int
-
-	// frame is the fleet telemetry in columnar form, converted lazily;
-	// every preparation runs the fused frame pipeline on it.
-	frame *dataset.Frame
 
 	// prepCache holds one default preparation per vendor; variants
 	// that change only modelling settings derive from it.
@@ -103,12 +98,10 @@ func (c *Context) Prepared(vendor string, group features.Group) (*core.Prepared,
 // changes neither preprocessing setting derives from it (core.Derive).
 // Any other cfg is prepared afresh and not cached.
 func (c *Context) prepare(cfg core.Config) (*core.Prepared, error) {
-	f, err := c.FleetFrame()
-	if err != nil {
-		return nil, err
-	}
+	f := c.Fleet.Data
 	base, ok := c.prepCache[cfg.Vendor]
 	if !ok {
+		var err error
 		base, err = core.PrepareFrame(f, c.Fleet.Tickets, c.PipelineConfig(cfg.Vendor, features.GroupSFWB))
 		if err != nil {
 			return nil, err
@@ -120,20 +113,6 @@ func (c *Context) prepare(cfg core.Config) (*core.Prepared, error) {
 		return p, err
 	}
 	return core.PrepareFrame(f, c.Fleet.Tickets, cfg)
-}
-
-// FleetFrame returns (converting once) the fleet telemetry as a
-// columnar frame — the input of the fused preprocessing pipeline.
-func (c *Context) FleetFrame() (*dataset.Frame, error) {
-	if c.frame != nil {
-		return c.frame, nil
-	}
-	f, err := dataset.FrameFromDataset(c.Fleet.Data)
-	if err != nil {
-		return nil, err
-	}
-	c.frame = f
-	return f, nil
 }
 
 // SampleSet returns (caching) the columnar sample set of a vendor/group

@@ -39,11 +39,7 @@ const sampleBytes = 45*8 + 48
 
 // Fig20 instruments a full pipeline run on vendor I.
 func (c *Context) Fig20() (*Fig20Result, error) {
-	f, err := c.FleetFrame()
-	if err != nil {
-		return nil, err
-	}
-	p, err := core.PrepareFrame(f, c.Fleet.Tickets, c.PipelineConfig(primaryVendor, features.GroupSFWB))
+	p, err := core.PrepareFrame(c.Fleet.Data, c.Fleet.Tickets, c.PipelineConfig(primaryVendor, features.GroupSFWB))
 	if err != nil {
 		return nil, err
 	}

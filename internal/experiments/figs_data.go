@@ -181,39 +181,44 @@ type Fig45Result struct {
 
 // Fig4 extracts cumulative W_161 trajectories.
 func (c *Context) Fig4() (*Fig45Result, error) {
-	return c.cumulativeStudy("W_161", func(r *dataset.Record) float64 {
-		return r.WCounts.Get(winevent.FileSystemIOError)
+	return c.cumulativeStudy("W_161", func(f *dataset.Frame, row int) float64 {
+		return winevent.Counts(f.WRow(row)).Get(winevent.FileSystemIOError)
 	})
 }
 
 // Fig5 extracts cumulative B_50 trajectories.
 func (c *Context) Fig5() (*Fig45Result, error) {
-	return c.cumulativeStudy("B_50", func(r *dataset.Record) float64 {
-		return r.BCounts.Get(bsod.PageFaultInNonpagedArea)
+	return c.cumulativeStudy("B_50", func(f *dataset.Frame, row int) float64 {
+		return bsod.Counts(f.BRow(row)).Get(bsod.PageFaultInNonpagedArea)
 	})
 }
 
-func (c *Context) cumulativeStudy(metric string, get func(*dataset.Record) float64) (*Fig45Result, error) {
+func (c *Context) cumulativeStudy(metric string, get func(f *dataset.Frame, row int) float64) (*Fig45Result, error) {
 	const tail = 15
 	const perClass = 4
 	res := &Fig45Result{Metric: metric}
 
 	// Deterministic pick: first qualifying drives in S/N order.
-	sns := c.Fleet.Data.SerialNumbers()
+	f := c.Fleet.Data
+	sns := make([]string, f.Drives())
+	for i := range sns {
+		sns[i] = f.Drive(i).SerialNumber
+	}
 	sort.Strings(sns)
 	for _, sn := range sns {
 		truth := c.Fleet.Truth[sn]
 		if truth.Vendor != primaryVendor {
 			continue
 		}
-		series, _ := c.Fleet.Data.Series(sn)
-		if series == nil || len(series.Records) < tail {
+		i, _ := f.DriveIndex(sn)
+		d := f.Drive(i)
+		if d.Rows() < tail {
 			continue
 		}
 		var cum float64
-		values := make([]float64, 0, len(series.Records))
-		for i := range series.Records {
-			cum += get(&series.Records[i])
+		values := make([]float64, 0, d.Rows())
+		for row := int(d.Start); row < int(d.End); row++ {
+			cum += get(f, row)
 			values = append(values, cum)
 		}
 		cs := CumSeries{SerialNumber: sn, Faulty: truth.Faulty, Values: values[len(values)-tail:]}
@@ -291,17 +296,18 @@ type Fig6Result struct {
 // Fig6 analyses the raw (pre-cleaning) fleet telemetry.
 func (c *Context) Fig6() (*Fig6Result, error) {
 	const maxGap = 15
+	f := c.Fleet.Data
 	res := &Fig6Result{
-		GapHistogram: dataset.GapHistogram(c.Fleet.Data, maxGap),
+		GapHistogram: dataset.GapHistogram(f, maxGap),
 		MaxGap:       maxGap,
-		Drives:       c.Fleet.Data.Drives(),
+		Drives:       f.Drives(),
 	}
 	policy := dataset.DefaultGapPolicy()
-	c.Fleet.Data.Each(func(s *dataset.DriveSeries) {
-		if s.MaxGap() >= policy.DropGap {
+	for i := 0; i < f.Drives(); i++ {
+		if f.MaxGap(i) >= policy.DropGap {
 			res.DropCandidates++
 		}
-	})
+	}
 	return res, nil
 }
 

@@ -199,7 +199,7 @@ func (c *Context) Fig12() (*Fig12Result, error) {
 	fcfg := simfleet.DriftConfig()
 	fcfg.FailureScale = c.Cfg.FailureScale
 	fcfg.Seed = c.Cfg.Seed
-	fleet, err := simfleet.SimulateFrame(fcfg)
+	fleet, err := simfleet.Simulate(fcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -207,7 +207,7 @@ func (c *Context) Fig12() (*Fig12Result, error) {
 	// Close the learning window around day 105 of the 270-day window,
 	// leaving five clean months of walk-forward evaluation.
 	cfg.TrainFrac = 0.4
-	p, err := core.PrepareFrame(fleet.Frame, fleet.Tickets, cfg)
+	p, err := core.PrepareFrame(fleet.Data, fleet.Tickets, cfg)
 	if err != nil {
 		return nil, err
 	}

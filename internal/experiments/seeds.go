@@ -36,7 +36,7 @@ func (c *Context) Seeds() (*SeedsResult, error) {
 		if cfg.FailureScale > 0.1 {
 			cfg.FailureScale = 0.1
 		}
-		fleet, err := simfleet.SimulateFrame(cfg)
+		fleet, err := simfleet.Simulate(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -45,7 +45,7 @@ func (c *Context) Seeds() (*SeedsResult, error) {
 			pc.Group = features.GroupSFWB
 			pc.Registries = c.Registries
 			pc.Seed = seed
-			_, rep, err := core.TrainOnFrame(fleet.Frame, fleet.Tickets, pc)
+			_, rep, err := core.TrainOnFrame(fleet.Data, fleet.Tickets, pc)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: seed %d vendor %s: %w", seed, vendor, err)
 			}

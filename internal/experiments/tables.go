@@ -179,9 +179,9 @@ type TableVIRow struct {
 func (c *Context) TableVI() (*TableVIResult, error) {
 	res := &TableVIResult{}
 	recordsByVendor := make(map[string]int)
-	for _, sn := range c.Fleet.Data.SerialNumbers() {
-		s, _ := c.Fleet.Data.Series(sn)
-		recordsByVendor[s.Vendor] += len(s.Records)
+	for i := 0; i < c.Fleet.Data.Drives(); i++ {
+		d := c.Fleet.Data.Drive(i)
+		recordsByVendor[d.Vendor] += d.Rows()
 	}
 	for _, st := range c.Fleet.Stats {
 		res.Rows = append(res.Rows, TableVIRow{

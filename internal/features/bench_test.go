@@ -14,9 +14,9 @@ import (
 
 // benchFleet mirrors fleetFixture for benchmarks: drives observed
 // daily, a third of them labelled faulty, three firmware versions.
-func benchFleet(b *testing.B, drives, days int) (*dataset.Dataset, labeling.Labels) {
+func benchFleet(b *testing.B, drives, days int) (*dataset.Frame, labeling.Labels) {
 	b.Helper()
-	d := dataset.New()
+	fb := dataset.NewFrameBuilder()
 	labels := labeling.Labels{}
 	for dr := 0; dr < drives; dr++ {
 		sn := fmt.Sprintf("D%03d", dr)
@@ -29,7 +29,7 @@ func benchFleet(b *testing.B, drives, days int) (*dataset.Dataset, labeling.Labe
 			}
 			r.Smart.Set(smartattr.PowerOnHours, float64(dr*100+day))
 			r.WCounts.Add(winevent.PagingError, float64(day%2))
-			if err := d.Append(r); err != nil {
+			if err := fb.Append(r); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -37,17 +37,13 @@ func benchFleet(b *testing.B, drives, days int) (*dataset.Dataset, labeling.Labe
 			labels[sn] = labeling.Label{SerialNumber: sn, FailDay: days - 1}
 		}
 	}
-	return d, labels
+	return fb.Finish(), labels
 }
 
 // BenchmarkBuildSampleSetFrameWorkers compares the serial per-drive
 // extraction loop against the full fan-out.
 func BenchmarkBuildSampleSetFrameWorkers(b *testing.B) {
-	d, labels := benchFleet(b, 150, 90)
-	f, err := dataset.FrameFromDataset(d)
-	if err != nil {
-		b.Fatal(err)
-	}
+	f, labels := benchFleet(b, 150, 90)
 	for _, bc := range []struct {
 		name    string
 		workers int

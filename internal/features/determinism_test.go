@@ -15,9 +15,9 @@ import (
 // fleetFixture builds a many-drive labelled dataset with several
 // firmware versions and no registry, so the extractor's first-seen
 // firmware encoding (the one mutable extraction path) is exercised.
-func fleetFixture(t *testing.T, drives int) (*dataset.Dataset, labeling.Labels, *Extractor) {
+func fleetFixture(t *testing.T, drives int) (*dataset.Frame, labeling.Labels, *Extractor) {
 	t.Helper()
-	d := dataset.New()
+	b := dataset.NewFrameBuilder()
 	labels := labeling.Labels{}
 	for dr := 0; dr < drives; dr++ {
 		sn := fmt.Sprintf("D%03d", dr)
@@ -30,7 +30,7 @@ func fleetFixture(t *testing.T, drives int) (*dataset.Dataset, labeling.Labels, 
 			}
 			r.Smart.Set(smartattr.PowerOnHours, float64(dr*100+day))
 			r.WCounts.Add(winevent.PagingError, float64(day%2))
-			if err := d.Append(r); err != nil {
+			if err := b.Append(r); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -42,7 +42,7 @@ func fleetFixture(t *testing.T, drives int) (*dataset.Dataset, labeling.Labels, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, labels, e
+	return b.Finish(), labels, e
 }
 
 // TestBuildSeqSamplesWorkersIdentical asserts the per-drive sequence
@@ -50,7 +50,7 @@ func fleetFixture(t *testing.T, drives int) (*dataset.Dataset, labeling.Labels, 
 // first-seen firmware codes that the priming pass fixes in frame order.
 func TestBuildSeqSamplesWorkersIdentical(t *testing.T) {
 	d, labels, _ := fleetFixture(t, 20)
-	f := frameOf(t, d)
+	f := d
 	opts := DefaultBuildOptions()
 	opts.Workers = 1
 	serialExt, err := NewExtractor(GroupSFWB, nil)

@@ -160,7 +160,7 @@ func TestMask(t *testing.T) {
 // day 20) and one healthy drive, observed daily over days 0..20.
 func buildFixture(t *testing.T) (*dataset.Frame, labeling.Labels, *Extractor) {
 	t.Helper()
-	d := dataset.New()
+	b := dataset.NewFrameBuilder()
 	for _, sn := range []string{"faulty", "healthy"} {
 		for day := 0; day <= 20; day++ {
 			r := dataset.Record{
@@ -168,7 +168,7 @@ func buildFixture(t *testing.T) (*dataset.Frame, labeling.Labels, *Extractor) {
 				WCounts: winevent.NewCounts(), BCounts: bsod.NewCounts(),
 			}
 			r.Smart.Set(smartattr.PowerOnHours, float64(day))
-			if err := d.Append(r); err != nil {
+			if err := b.Append(r); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -178,7 +178,7 @@ func buildFixture(t *testing.T) (*dataset.Frame, labeling.Labels, *Extractor) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return frameOf(t, d), labels, e
+	return b.Finish(), labels, e
 }
 
 // buildSamples is the fixture's flat sample set in slice form.

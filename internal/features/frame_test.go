@@ -40,16 +40,24 @@ func requireSetsEqualBits(t *testing.T, want, got *ml.SampleSet) {
 // after its failure (neither may take arena space or shift offsets).
 func TestBuildSeqSampleSetMatchesOracle(t *testing.T) {
 	d, labels, _ := fleetFixture(t, 20)
+	b := dataset.NewFrameBuilder()
+	d.Each(func(s *dataset.DriveSeries) {
+		for _, r := range s.Records {
+			if err := b.Append(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 	for day := 0; day < 3; day++ {
 		r := dataset.Record{SerialNumber: "SHORT", Vendor: "I", Model: "M", Day: day, Firmware: "FW9",
 			WCounts: winevent.NewCounts(), BCounts: bsod.NewCounts()}
 		r.Smart.Set(smartattr.PowerOnHours, float64(day))
-		if err := d.Append(r); err != nil {
+		if err := b.Append(r); err != nil {
 			t.Fatal(err)
 		}
 	}
 	labels["D004"] = labeling.Label{SerialNumber: "D004", FailDay: -1}
-	f := frameOf(t, d)
+	f := b.Finish()
 	for _, seqLen := range []int{1, 2, 5} {
 		oracleExt, err := NewExtractor(GroupSFWB, nil)
 		if err != nil {
@@ -87,10 +95,7 @@ func TestBuildSeqSampleSetMatchesOracle(t *testing.T) {
 // first-seen firmware encoding that priming fixes in dataset order.
 func TestBuildSampleSetFrameMatchesRecordPath(t *testing.T) {
 	d, labels, _ := fleetFixture(t, 25)
-	f, err := dataset.FrameFromDataset(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := d
 	opts := DefaultBuildOptions()
 	for _, g := range AllGroups() {
 		recExt, err := NewExtractor(g, nil)
@@ -117,10 +122,7 @@ func TestBuildSampleSetFrameMatchesRecordPath(t *testing.T) {
 // frame extraction is worker-count independent.
 func TestBuildSampleSetFrameWorkersIdentical(t *testing.T) {
 	d, labels, _ := fleetFixture(t, 30)
-	f, err := dataset.FrameFromDataset(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := d
 	opts := DefaultBuildOptions()
 	opts.Workers = 1
 	serialExt, err := NewExtractor(GroupSFWB, nil)

@@ -13,7 +13,7 @@ import (
 // BuildSampleSetFrame is pinned against: prime the firmware encoders
 // over every record in dataset order, then label and extract each
 // record serially.
-func buildSampleSetRecords(data *dataset.Dataset, labels labeling.Labels, e *Extractor, opts BuildOptions) (*ml.SampleSet, error) {
+func buildSampleSetRecords(data *dataset.Frame, labels labeling.Labels, e *Extractor, opts BuildOptions) (*ml.SampleSet, error) {
 	if opts.PositiveWindowDays < 1 {
 		return nil, fmt.Errorf("features: PositiveWindowDays %d must be ≥ 1", opts.PositiveWindowDays)
 	}

@@ -20,11 +20,11 @@ import (
 // discontinuity structure the rolling state must reproduce: mostly
 // one-day steps, fillable 2-3 day gaps, unfillable holes, occasional
 // drop-sized gaps, and mid-series firmware upgrades.
-func randomRawFleet(t *testing.T, seed int64, drives int) *dataset.Dataset {
+func randomRawFleet(t *testing.T, seed int64, drives int) *dataset.Frame {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	vendors := []string{"I", "II", "III", "IV"}
-	d := dataset.New()
+	b := dataset.NewFrameBuilder()
 	for i := 0; i < drives; i++ {
 		sn := fmt.Sprintf("S%d-%03d", seed, i)
 		vendor := vendors[r.Intn(len(vendors))]
@@ -54,7 +54,7 @@ func randomRawFleet(t *testing.T, seed int64, drives int) *dataset.Dataset {
 					rec.BCounts[j] = float64(r.Intn(3))
 				}
 			}
-			if err := d.Append(rec); err != nil {
+			if err := b.Append(rec); err != nil {
 				t.Fatal(err)
 			}
 			if r.Intn(10) == 0 {
@@ -72,7 +72,7 @@ func randomRawFleet(t *testing.T, seed int64, drives int) *dataset.Dataset {
 			}
 		}
 	}
-	return d
+	return b.Finish()
 }
 
 type refRow struct {
@@ -84,7 +84,7 @@ type refRow struct {
 // offlineRows runs the full offline preprocessing — the fused
 // clean+cumulate pipeline, then per-record extraction — and returns
 // each surviving drive's feature rows.
-func offlineRows(t *testing.T, raw *dataset.Dataset, policy dataset.GapPolicy, e *Extractor, workers int) map[string][]refRow {
+func offlineRows(t *testing.T, raw *dataset.Frame, policy dataset.GapPolicy, e *Extractor, workers int) map[string][]refRow {
 	t.Helper()
 	cleaned := preparedRecords(t, raw, dataset.PipelineOptions{Policy: policy, Workers: workers})
 	out := make(map[string][]refRow)
@@ -99,25 +99,14 @@ func offlineRows(t *testing.T, raw *dataset.Dataset, policy dataset.GapPolicy, e
 	return out
 }
 
-// frameOf converts a test dataset to a frame, failing on error.
-func frameOf(t *testing.T, d *dataset.Dataset) *dataset.Frame {
+// preparedRecords runs PreparePipeline over raw.
+func preparedRecords(t *testing.T, raw *dataset.Frame, opts dataset.PipelineOptions) *dataset.Frame {
 	t.Helper()
-	f, err := dataset.FrameFromDataset(d)
+	out, _, err := dataset.PreparePipeline(raw, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return f
-}
-
-// preparedRecords runs PreparePipeline over raw and returns the result
-// in record form.
-func preparedRecords(t *testing.T, raw *dataset.Dataset, opts dataset.PipelineOptions) *dataset.Dataset {
-	t.Helper()
-	out, _, err := dataset.PreparePipeline(frameOf(t, raw), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out.ToDataset()
+	return out
 }
 
 func bitsEqual(a, b []float64) bool {
@@ -148,12 +137,13 @@ func TestRollingAdvanceMatchesOfflinePipeline(t *testing.T) {
 		// One extractor for both paths, primed on the raw dataset:
 		// after priming, extraction is read-only, and the first-seen
 		// firmware codes cannot depend on which path runs first.
-		ext.PrimeFrame(frameOf(t, raw))
+		ext.PrimeFrame(raw)
 		workers := int(seed%2) + 1 // 1 or 2; offline output is pinned anyway
 		offline := offlineRows(t, raw, policy, ext, workers)
 
-		checked := 0
+		checked, drive := 0, -1
 		raw.Each(func(s *dataset.DriveSeries) {
+			drive++
 			st := NewRollingState()
 			x := make([]float64, 0, ext.Width()*4)
 			var meta []EmittedRow
@@ -172,7 +162,7 @@ func TestRollingAdvanceMatchesOfflinePipeline(t *testing.T) {
 			want, survived := offline[s.SerialNumber]
 			if st.Dropped() != !survived {
 				t.Fatalf("seed %d drive %s: online dropped=%v, offline survived=%v (max gap %d)",
-					seed, s.SerialNumber, st.Dropped(), survived, s.MaxGap())
+					seed, s.SerialNumber, st.Dropped(), survived, raw.MaxGap(drive))
 			}
 			if !survived {
 				return // offline has no rows to compare against
@@ -203,7 +193,7 @@ func TestRollingAdvanceMatchesOfflinePipeline(t *testing.T) {
 func TestRollingAdvanceRowMatchesBuildSampleSetFrame(t *testing.T) {
 	policy := dataset.DefaultGapPolicy()
 	raw := randomRawFleet(t, 7, 10)
-	rawFrame := frameOf(t, raw)
+	rawFrame := raw
 	ext, err := NewExtractor(GroupSFWB, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +270,7 @@ func TestRollingSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext.PrimeFrame(frameOf(t, raw))
+	ext.PrimeFrame(raw)
 	raw.Each(func(s *dataset.DriveSeries) {
 		for _, cut := range []int{1, len(s.Records) / 2} {
 			if cut >= len(s.Records) {

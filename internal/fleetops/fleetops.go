@@ -133,14 +133,12 @@ func (s *Service) retryTransient(fn func() error) (retries int, err error) {
 
 // Train (re-)trains the vendor's model as of asOfDay: only telemetry
 // records observed by then and tickets filed by then are visible, so an
-// iteration never peeks at the future.
-func (s *Service) Train(data *dataset.Dataset, tickets *ticket.Store, vendor string, asOfDay int) (IterationRecord, error) {
+// iteration never peeks at the future. The visible telemetry is a
+// column-sharing view of data, not a copy.
+func (s *Service) Train(data *dataset.Frame, tickets *ticket.Store, vendor string, asOfDay int) (IterationRecord, error) {
 	cfg := s.template
 	cfg.Vendor = vendor
-	visible, err := dataset.FrameFromDataset(data.Filter(func(s *dataset.DriveSeries) bool { return s.Vendor == vendor }).Until(asOfDay))
-	if err != nil {
-		return IterationRecord{}, fmt.Errorf("fleetops: vendor %s at day %d: %w", vendor, asOfDay, err)
-	}
+	visible := data.FilterVendor(vendor).Until(asOfDay)
 	model, report, err := core.TrainOnFrame(visible, tickets.Until(asOfDay), cfg)
 	if err != nil {
 		return IterationRecord{}, fmt.Errorf("fleetops: vendor %s at day %d: %w", vendor, asOfDay, err)
@@ -191,7 +189,7 @@ func (s *Service) NeedsIteration(vendor string, today int) bool {
 
 // Step re-trains every listed vendor that is due at today and returns
 // the vendors that were re-trained.
-func (s *Service) Step(data *dataset.Dataset, tickets *ticket.Store, vendors []string, today int) ([]string, error) {
+func (s *Service) Step(data *dataset.Frame, tickets *ticket.Store, vendors []string, today int) ([]string, error) {
 	var retrained []string
 	for _, v := range vendors {
 		if !s.NeedsIteration(v, today) {

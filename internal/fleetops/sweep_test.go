@@ -32,10 +32,7 @@ func TestSweepDayAfterBootstrap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hist, err := dataset.FrameFromDataset(res.Data.Until(trainDay))
-	if err != nil {
-		t.Fatal(err)
-	}
+	hist := res.Data.Until(trainDay)
 	stats, err := s.Bootstrap(hist, "I", serve.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -43,14 +43,17 @@ func TestSnapshotIntoMatchesSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	wantD := wantB.Finish().ToDataset()
-	gotD := gotB.Finish().ToDataset()
-	if !reflect.DeepEqual(wantD.SerialNumbers(), gotD.SerialNumbers()) {
+	wantF, gotF := wantB.Finish(), gotB.Finish()
+	if wantF.Drives() != gotF.Drives() {
 		t.Fatal("drive sets differ")
 	}
-	for _, sn := range wantD.SerialNumbers() {
-		ws, _ := wantD.Series(sn)
-		gs, _ := gotD.Series(sn)
+	for i := 0; i < wantF.Drives(); i++ {
+		sn := wantF.Drive(i).SerialNumber
+		if gotF.Drive(i).SerialNumber != sn {
+			t.Fatal("drive sets differ")
+		}
+		ws, _ := wantF.Series(sn)
+		gs, _ := gotF.Series(sn)
 		if !reflect.DeepEqual(ws, gs) {
 			t.Fatalf("drive %s telemetry differs", sn)
 		}

@@ -5,19 +5,8 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/dataset"
 	"repro/internal/ticket"
 )
-
-// frameOf converts a test dataset to a frame, failing on error.
-func frameOf(t *testing.T, d *dataset.Dataset) *dataset.Frame {
-	t.Helper()
-	f, err := dataset.FrameFromDataset(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f
-}
 
 // TestIdentifyFrameMatchesIdentify fuzzes day layouts and ticket
 // placements: the binary-search labelling over the frame's day column
@@ -48,7 +37,7 @@ func TestIdentifyFrameMatchesIdentify(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := IdentifyFrame(frameOf(t, data), store, theta)
+		got, err := IdentifyFrame(data, store, theta)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +56,7 @@ func TestIdentifyFrameEquidistantPrefersEarlierDay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := IdentifyFrame(frameOf(t, data), store, 7)
+	got, err := IdentifyFrame(data, store, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +67,7 @@ func TestIdentifyFrameEquidistantPrefersEarlierDay(t *testing.T) {
 
 func TestIdentifyFrameRejectsNegativeTheta(t *testing.T) {
 	data := buildData(t, map[string][]int{"A": {1}})
-	if _, err := IdentifyFrame(frameOf(t, data), ticket.NewStore(), -1); err == nil {
+	if _, err := IdentifyFrame(data, ticket.NewStore(), -1); err == nil {
 		t.Fatal("negative θ accepted")
 	}
 }

@@ -9,9 +9,9 @@ import (
 	"repro/internal/winevent"
 )
 
-func buildData(t *testing.T, days map[string][]int) *dataset.Dataset {
+func buildData(t *testing.T, days map[string][]int) *dataset.Frame {
 	t.Helper()
-	d := dataset.New()
+	d := dataset.NewFrameBuilder()
 	for sn, list := range days {
 		for _, day := range list {
 			r := dataset.Record{
@@ -28,7 +28,7 @@ func buildData(t *testing.T, days map[string][]int) *dataset.Dataset {
 			}
 		}
 	}
-	return d
+	return d.Finish()
 }
 
 func storeWith(tickets ...ticket.Ticket) *ticket.Store {
@@ -43,7 +43,7 @@ func TestIdentifyClosePoint(t *testing.T) {
 	// Last record on day 20; IMT on day 24 → interval 4 ≤ θ=7 → label
 	// the closest tracking point (day 20).
 	data := buildData(t, map[string][]int{"A": {10, 15, 20}})
-	labels, err := IdentifyFrame(frameOf(t, data), storeWith(ticket.Ticket{SerialNumber: "A", IMT: 24}), 7)
+	labels, err := IdentifyFrame(data, storeWith(ticket.Ticket{SerialNumber: "A", IMT: 24}), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestIdentifyFallback(t *testing.T) {
 	// Last record on day 10; IMT on day 30 → interval 20 > θ=7 →
 	// fall back to IMT − θ = 23.
 	data := buildData(t, map[string][]int{"A": {5, 10}})
-	labels, err := IdentifyFrame(frameOf(t, data), storeWith(ticket.Ticket{SerialNumber: "A", IMT: 30}), 7)
+	labels, err := IdentifyFrame(data, storeWith(ticket.Ticket{SerialNumber: "A", IMT: 30}), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestIdentifyClampsAtZero(t *testing.T) {
 	data := buildData(t, map[string][]int{"A": {50}})
 	// IMT 3 with θ 7 → fallback would be negative → clamp to 0. The
 	// closest record (day 50) is 47 away, so the fallback path fires.
-	labels, err := IdentifyFrame(frameOf(t, data), storeWith(ticket.Ticket{SerialNumber: "A", IMT: 3}), 7)
+	labels, err := IdentifyFrame(data, storeWith(ticket.Ticket{SerialNumber: "A", IMT: 3}), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestIdentifyClampsAtZero(t *testing.T) {
 
 func TestIdentifySkipsDrivesWithoutTelemetry(t *testing.T) {
 	data := buildData(t, map[string][]int{"A": {1}})
-	labels, err := IdentifyFrame(frameOf(t, data), storeWith(ticket.Ticket{SerialNumber: "GHOST", IMT: 5}), 7)
+	labels, err := IdentifyFrame(data, storeWith(ticket.Ticket{SerialNumber: "GHOST", IMT: 5}), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestIdentifySkipsDrivesWithoutTelemetry(t *testing.T) {
 
 func TestIdentifyUsesEarliestTicket(t *testing.T) {
 	data := buildData(t, map[string][]int{"A": {10, 20, 30}})
-	labels, err := IdentifyFrame(frameOf(t, data), storeWith(
+	labels, err := IdentifyFrame(data, storeWith(
 		ticket.Ticket{SerialNumber: "A", IMT: 32},
 		ticket.Ticket{SerialNumber: "A", IMT: 12},
 	), 7)
@@ -120,7 +120,7 @@ func TestIdentifyUsesEarliestTicket(t *testing.T) {
 func TestIdentifyRejectsNegativeTheta(t *testing.T) {
 	data := buildData(t, map[string][]int{"A": {1}})
 	store := storeWith(ticket.Ticket{SerialNumber: "A", IMT: 1})
-	if _, err := IdentifyFrame(frameOf(t, data), store, -1); err == nil {
+	if _, err := IdentifyFrame(data, store, -1); err == nil {
 		t.Fatal("negative θ accepted")
 	}
 }
@@ -128,7 +128,7 @@ func TestIdentifyRejectsNegativeTheta(t *testing.T) {
 func TestThetaZeroIsExact(t *testing.T) {
 	// θ=0: only a tracking point exactly on the IMT qualifies.
 	data := buildData(t, map[string][]int{"A": {10}})
-	labels, err := IdentifyFrame(frameOf(t, data), storeWith(ticket.Ticket{SerialNumber: "A", IMT: 10}), 0)
+	labels, err := IdentifyFrame(data, storeWith(ticket.Ticket{SerialNumber: "A", IMT: 10}), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,8 @@ import (
 )
 
 // identifyRecords is the record-form labelling oracle that IdentifyFrame
-// is pinned against: a linear DriveSeries.Closest lookup per ticketed
-// drive.
-func identifyRecords(data *dataset.Dataset, tickets *ticket.Store, theta int) (Labels, error) {
+// is pinned against: a linear closest-record lookup per ticketed drive.
+func identifyRecords(data *dataset.Frame, tickets *ticket.Store, theta int) (Labels, error) {
 	if theta < 0 {
 		return nil, fmt.Errorf("labeling: theta %d must be ≥ 0", theta)
 	}
@@ -24,10 +23,7 @@ func identifyRecords(data *dataset.Dataset, tickets *ticket.Store, theta int) (L
 		if !ok {
 			continue
 		}
-		rec, ok := series.Closest(t.IMT)
-		if !ok {
-			continue
-		}
+		rec := closest(series, t.IMT)
 		interval := t.IMT - rec.Day
 		if interval < 0 {
 			interval = -interval
@@ -45,4 +41,24 @@ func identifyRecords(data *dataset.Dataset, tickets *ticket.Store, theta int) (L
 		labels[sn] = label
 	}
 	return labels, nil
+}
+
+// closest returns the record whose Day is nearest to day, the earlier
+// one on a tie.
+func closest(s *dataset.DriveSeries, day int) *dataset.Record {
+	best := &s.Records[0]
+	for i := range s.Records {
+		r := &s.Records[i]
+		if abs(r.Day-day) < abs(best.Day-day) {
+			best = r
+		}
+	}
+	return best
+}
+
+func abs(v int) int {
+	if v < 0 {
+		return -v
+	}
+	return v
 }

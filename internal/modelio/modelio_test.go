@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/ml"
 	"repro/internal/simfleet"
 )
@@ -38,10 +37,7 @@ func trainFixture() (map[core.Algorithm]*core.Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	frame, err := dataset.FrameFromDataset(fleet.Data)
-	if err != nil {
-		return nil, err
-	}
+	frame := fleet.Data
 	out := make(map[core.Algorithm]*core.Model)
 	for _, algo := range core.Algorithms() {
 		pc := core.DefaultConfig("I")

@@ -432,10 +432,7 @@ func TestReplayFrameQuarantinesBadDrive(t *testing.T) {
 	batches := dayBatches(fleet, "I")
 	splitIdx := len(batches) - 7
 	splitDay := batches[splitIdx][0].Day
-	hist, err := dataset.FrameFromDataset(fleet.Data.Until(splitDay - 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	hist := fleet.Data.Until(splitDay - 1)
 
 	s, err := New(model, Options{Registries: regs})
 	if err != nil {
@@ -663,18 +660,27 @@ func TestReplayFrameStrictFirmwareQuarantine(t *testing.T) {
 		t.Fatalf("sweep ledger entry %+v, %v", e, ok)
 	}
 
-	hist := dataset.New()
+	// Regroup the day-major history by drive for the frame builder.
+	var order []string
+	byDrive := make(map[string][]dataset.Record)
 	for _, b := range dirty[:splitIdx] {
 		for i := range b {
-			if err := hist.Append(b[i]); err != nil {
+			sn := b[i].SerialNumber
+			if _, seen := byDrive[sn]; !seen {
+				order = append(order, sn)
+			}
+			byDrive[sn] = append(byDrive[sn], b[i])
+		}
+	}
+	hist := dataset.NewFrameBuilder()
+	for _, sn := range order {
+		for _, r := range byDrive[sn] {
+			if err := hist.Append(r); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	frame, err := dataset.FrameFromDataset(hist)
-	if err != nil {
-		t.Fatal(err)
-	}
+	frame := hist.Finish()
 	boot, err := New(model, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -40,10 +40,7 @@ func setup(t *testing.T) (*simfleet.Result, *core.Model, map[string]*firmware.Re
 		}
 		mcfg := core.DefaultConfig("I")
 		mcfg.Registries = regs
-		frame, err := dataset.FrameFromDataset(fleet.Data)
-		if err != nil {
-			t.Fatal(err)
-		}
+		frame := fleet.Data
 		model, _, err := core.TrainOnFrame(frame, fleet.Tickets, mcfg)
 		if err != nil {
 			t.Fatal(err)
@@ -65,10 +62,7 @@ func offlineScores(t *testing.T, fleet *simfleet.Result, model *core.Model, regs
 	t.Helper()
 	cfg := model.Config
 	cfg.Registries = regs
-	raw, err := dataset.FrameFromDataset(fleet.Data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := fleet.Data
 	p, err := core.PrepareFrame(raw, fleet.Tickets, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -223,10 +217,7 @@ func TestReplayFrameBootstrapMatchesFromScratch(t *testing.T) {
 	// mean-filled rows dated before the split.
 	wantTail := runDays(t, full, batches[splitIdx:])
 
-	hist, err := dataset.FrameFromDataset(fleet.Data.Until(splitDay - 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	hist := fleet.Data.Until(splitDay - 1)
 	boot, err := New(model, Options{Workers: 0, Registries: regs})
 	if err != nil {
 		t.Fatal(err)
@@ -259,10 +250,7 @@ func TestReplayFrameBootstrapMatchesFromScratch(t *testing.T) {
 // TestReplayFrameRejectsCumulated pins the raw-frame contract.
 func TestReplayFrameRejectsCumulated(t *testing.T) {
 	fleet, model, regs := setup(t)
-	raw, err := dataset.FrameFromDataset(fleet.Data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := fleet.Data
 	f, _, err := dataset.PreparePipeline(raw, dataset.PipelineOptions{SkipClean: true})
 	if err != nil {
 		t.Fatal(err)

@@ -345,10 +345,7 @@ func TestLoadStateOnlyAtStartup(t *testing.T) {
 		t.Fatal("mid-stream restore accepted")
 	}
 
-	hist, err := dataset.FrameFromDataset(fleet.Data.Until(10))
-	if err != nil {
-		t.Fatal(err)
-	}
+	hist := fleet.Data.Until(10)
 	replayed, err := New(model, Options{Registries: regs})
 	if err != nil {
 		t.Fatal(err)

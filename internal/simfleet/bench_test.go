@@ -1,6 +1,13 @@
 package simfleet
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+
+	"repro/internal/bsod"
+	"repro/internal/smartattr"
+	"repro/internal/winevent"
+)
 
 func BenchmarkSimulateTinyFleet(b *testing.B) {
 	cfg := TinyConfig()
@@ -42,31 +49,16 @@ func BenchmarkSimulateWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulateFrameTinyFleet is the columnar counterpart of
-// BenchmarkSimulateTinyFleet: telemetry lands directly in one arena.
-func BenchmarkSimulateFrameTinyFleet(b *testing.B) {
-	cfg := TinyConfig()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := SimulateFrame(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Frame.Len() == 0 {
-			b.Fatal("empty fleet")
-		}
-	}
-}
-
 func BenchmarkDriveDay(b *testing.B) {
 	cfg := TinyConfig()
-	r := driveRNG(cfg.Seed, "bench-drive")
+	r := rand.New(rand.NewSource(driveRNGSeed(cfg.Seed, "bench-drive")))
 	v := cfg.Vendors[0]
 	d := newDriveState(r, "bench-drive", &v, kindFaulty, 80, &cfg)
+	var smart smartattr.Values
+	w, bc := winevent.NewCounts(), bsod.NewCounts()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.stepDay(r, i%cfg.Days, &cfg)
+		d.stepDayInto(r, i%cfg.Days, &cfg, &smart, w, bc)
 	}
 }

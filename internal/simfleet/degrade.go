@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"repro/internal/bsod"
-	"repro/internal/dataset"
 	"repro/internal/smartattr"
 	"repro/internal/winevent"
 )
@@ -104,25 +103,9 @@ func driftFactor(cfg *Config, day int) float64 {
 	return math.Pow(cfg.DriftMonthlyFactor, months)
 }
 
-// stepDay advances the drive by one powered-on day and returns the
-// telemetry record observed at the end of that day.
-func (d *driveState) stepDay(r *rand.Rand, day int, cfg *Config) dataset.Record {
-	rec := dataset.Record{
-		SerialNumber: d.sn,
-		Vendor:       d.vendor,
-		Model:        d.model.Name,
-		Day:          day,
-		Firmware:     d.fw.Version,
-		WCounts:      winevent.NewCounts(),
-		BCounts:      bsod.NewCounts(),
-	}
-	d.stepDayInto(r, day, cfg, &rec.Smart, rec.WCounts, rec.BCounts)
-	return rec
-}
-
-// stepDayInto is stepDay writing the observation into caller-supplied
-// vectors (arena rows on the frame path) instead of a fresh record.
-// The RNG draw sequence is identical to stepDay's.
+// stepDayInto advances the drive by one powered-on day and writes the
+// telemetry observed at the end of that day into the caller's vectors
+// (the drive's arena row).
 func (d *driveState) stepDayInto(r *rand.Rand, day int, cfg *Config, smart *smartattr.Values, w winevent.Counts, b bsod.Counts) {
 	hours := d.usage.hoursMean * (0.6 + 0.8*r.Float64())
 	// The failure ramp drives the system-level W/B channels; the SMART

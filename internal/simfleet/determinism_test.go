@@ -35,11 +35,11 @@ func TestSimulateWorkersIdentical(t *testing.T) {
 		for _, w := range []int{1, 0, 3} {
 			cfg := c.cfg
 			cfg.Workers = w
-			res, err := SimulateFrame(cfg)
+			res, err := Simulate(cfg)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", c.name, w, err)
 			}
-			if got := fleetDigest(t, res.Frame, res.Truth, res.Stats, res.Tickets); got != c.want {
+			if got := fleetDigest(t, res.Data, res.Truth, res.Stats, res.Tickets); got != c.want {
 				t.Errorf("%s workers=%d: digest %s, want %s", c.name, w, got, c.want)
 			}
 		}

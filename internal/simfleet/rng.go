@@ -18,15 +18,9 @@ func driveRNGSeed(seed int64, sn string) int64 {
 	return seed ^ int64(h)
 }
 
-// driveRNG returns a deterministic per-drive random source so that a
-// drive's trajectory does not depend on how many other drives exist or
-// the order they are generated in.
-func driveRNG(seed int64, sn string) *rand.Rand {
-	return rand.New(rand.NewSource(driveRNGSeed(seed, sn)))
-}
-
-// rngPool recycles per-drive RNGs for the frame simulation path:
-// (*Rand).Seed resets a pooled generator to the exact stream a fresh
+// rngPool recycles per-drive RNGs, so a drive's trajectory does not
+// depend on how many other drives exist or the order they are
+// generated in, at no allocation cost: (*Rand).Seed resets a pooled generator to the exact stream a fresh
 // rand.New(rand.NewSource(seed)) would produce, without the two
 // allocations per drive.
 var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}

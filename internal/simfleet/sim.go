@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"repro/internal/dataset"
+	"repro/internal/firmware"
 	"repro/internal/parallel"
 	"repro/internal/smartattr"
 	"repro/internal/ticket"
@@ -66,7 +67,7 @@ func (s *VendorStats) ReplacementRate() float64 {
 // Result is one simulated fleet.
 type Result struct {
 	// Data is the raw (daily-count, discontinuous) telemetry.
-	Data *dataset.Dataset
+	Data *dataset.Frame
 	// Tickets is the after-sales RaSRF ticket store.
 	Tickets *ticket.Store
 	// Truth maps serial number to ground truth.
@@ -98,73 +99,6 @@ type driveSpec struct {
 	failDay int
 }
 
-// driveOutput is everything one materialised drive contributes,
-// produced by a worker and merged serially in spec order.
-type driveOutput struct {
-	records []dataset.Record
-	truth   DriveTruth
-	fwSeq   int
-	ticket  ticket.Ticket
-}
-
-// Simulate generates a fleet per cfg. The same cfg (including Seed)
-// always yields the same result: drive assignments come from a serial
-// master-RNG pass, each drive's trajectory comes from its own
-// serial-number-seeded RNG (order-independent by construction), and
-// per-worker outputs are merged in spec order, so the output is
-// bit-identical at any cfg.Workers setting.
-func Simulate(cfg Config) (*Result, error) {
-	if cfg.Vendors == nil {
-		cfg.Vendors = DefaultVendors()
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Data:    dataset.New(),
-		Tickets: ticket.NewStore(),
-		Truth:   make(map[string]DriveTruth),
-		Config:  cfg,
-	}
-	master := rand.New(rand.NewSource(cfg.Seed))
-	causes := ticket.AllCauses()
-	causeWeights := make([]float64, len(causes))
-	for i, c := range causes {
-		causeWeights[i] = c.Share
-	}
-
-	// Pass 1 (serial): draw every drive's cohort assignment from the
-	// master RNG in the fixed vendor/serial order.
-	var specs []driveSpec
-	specs, res.Stats = buildSpecs(&cfg, master)
-
-	// Pass 2 (parallel): materialise each drive from its own RNG.
-	outs, err := parallel.Map(len(specs), cfg.Workers, func(i int) (driveOutput, error) {
-		s := specs[i]
-		return simulateDrive(s.sn, &cfg.Vendors[s.vendor], s.kind, s.failDay, &cfg, causes, causeWeights), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Pass 3 (serial): merge in spec order so dataset insertion order,
-	// ticket order, and stats are identical to a serial run.
-	for i := range outs {
-		out := &outs[i]
-		for _, rec := range out.records {
-			if err := res.Data.Append(rec); err != nil {
-				return nil, err
-			}
-		}
-		res.Truth[out.truth.SerialNumber] = out.truth
-		if out.truth.Faulty {
-			res.Stats[specs[i].stats].FailuresByFirmwareSeq[out.fwSeq]++
-			res.Tickets.Add(out.ticket)
-		}
-	}
-	return res, nil
-}
-
 // serialNumber mints "<vendor>-<tag>NNNNNN" with the index zero-padded
 // to six digits — the exact layout fmt.Sprintf("%s-%c%06d", ...) would
 // produce — without fmt's argument boxing, which was the single
@@ -184,8 +118,7 @@ func serialNumber(vendor string, tag byte, i int) string {
 
 // buildSpecs draws every drive's cohort assignment from the master RNG
 // in the fixed vendor/serial order, along with the per-vendor stats
-// skeletons. The draw sequence is shared by Simulate and SimulateFrame,
-// so the two produce identical fleets for a configuration.
+// skeletons.
 func buildSpecs(cfg *Config, master *rand.Rand) ([]driveSpec, []VendorStats) {
 	var specs []driveSpec
 	var allStats []VendorStats
@@ -247,12 +180,104 @@ func buildSpecs(cfg *Config, master *rand.Rand) ([]driveSpec, []VendorStats) {
 	return specs, allStats
 }
 
-// simulateDrive runs one drive through the window and returns its
-// telemetry, ground truth, and (for faulty drives) its trouble ticket.
-// It draws only from the drive's own serial-number-seeded RNG, so it is
-// safe to call concurrently for different drives.
-func simulateDrive(sn string, v *VendorSpec, k kind, failDay int, cfg *Config, causes []ticket.Cause, causeWeights []float64) driveOutput {
-	r := driveRNG(cfg.Seed, sn)
+// driveOut is one drive's non-telemetry contribution; its records land
+// directly in the shared arena.
+type driveOut struct {
+	rows   int
+	truth  DriveTruth
+	fwSeq  int
+	ticket ticket.Ticket
+}
+
+// Simulate generates a fleet per cfg, writing telemetry straight into
+// one columnar arena. The same cfg (including Seed) always yields the
+// same result:
+//
+//   - drive assignments come from a serial master-RNG pass;
+//   - each drive's trajectory comes from its own serial-number-seeded
+//     RNG, so it does not depend on the order drives run in;
+//   - every drive's upper-bound row count is known from its spec alone
+//     (failDay+1 when faulty, the full window otherwise), so a serial
+//     prefix sum hands each worker a disjoint arena range, and
+//     unpowered days simply leave their slack rows untouched;
+//   - drives are registered, and truth, stats and tickets collected, in
+//     spec order.
+//
+// The output is therefore bit-identical at any cfg.Workers setting.
+func Simulate(cfg Config) (*Result, error) {
+	if cfg.Vendors == nil {
+		cfg.Vendors = DefaultVendors()
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	res := &Result{
+		Tickets: ticket.NewStore(),
+		Truth:   make(map[string]DriveTruth),
+		Config:  cfg,
+	}
+	master := rand.New(rand.NewSource(cfg.Seed))
+	causes := ticket.AllCauses()
+	causeWeights := make([]float64, len(causes))
+	for i, c := range causes {
+		causeWeights[i] = c.Share
+	}
+
+	var specs []driveSpec
+	specs, res.Stats = buildSpecs(&cfg, master)
+
+	// Size the arena from the specs: a drive observes at most one row
+	// per window day, and a faulty one stops at its failure day.
+	offs := make([]int, len(specs)+1)
+	for i := range specs {
+		bound := cfg.Days
+		if specs[i].failDay >= 0 {
+			bound = specs[i].failDay + 1
+		}
+		offs[i+1] = offs[i] + bound
+	}
+	f := dataset.NewFrameArena(offs[len(specs)])
+
+	outs, err := parallel.Map(len(specs), cfg.Workers, func(i int) (driveOut, error) {
+		s := specs[i]
+		return simulateDriveInto(f, offs[i], s.sn, &cfg.Vendors[s.vendor], s.kind, s.failDay, &cfg, causes, causeWeights), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// Serial merge in spec order: register each drive's row range (the
+	// firmware column is stamped here — interning is serial-only) and
+	// collect truth, stats, and tickets.
+	for i := range outs {
+		out := &outs[i]
+		if out.rows > 0 {
+			start := offs[i]
+			f.FillFirmware(start, start+out.rows, firmware.Version(out.truth.Firmware))
+			if err := f.AddDrive(out.truth.SerialNumber, out.truth.Vendor, out.truth.Model, start, start+out.rows); err != nil {
+				return nil, err
+			}
+		}
+		res.Truth[out.truth.SerialNumber] = out.truth
+		if out.truth.Faulty {
+			res.Stats[specs[i].stats].FailuresByFirmwareSeq[out.fwSeq]++
+			res.Tickets.Add(out.ticket)
+		}
+	}
+	res.Data = f
+	return res, nil
+}
+
+// simulateDriveInto runs one drive through the window, emitting its
+// telemetry into arena rows [off, off+rows), and returns its ground
+// truth and (for faulty drives) its trouble ticket. It draws only from
+// the drive's own serial-number-seeded RNG (pooled and re-seeded, which
+// reproduces a fresh generator's stream exactly), so concurrent drives
+// never interact.
+func simulateDriveInto(f *dataset.Frame, off int, sn string, v *VendorSpec, k kind, failDay int, cfg *Config, causes []ticket.Cause, causeWeights []float64) driveOut {
+	r := rngPool.Get().(*rand.Rand)
+	defer rngPool.Put(r)
+	r.Seed(driveRNGSeed(cfg.Seed, sn))
 	d := newDriveState(r, sn, v, k, failDay, cfg)
 	if d.kind == kindBurst {
 		d.burstStart = r.Intn(cfg.Days)
@@ -273,7 +298,7 @@ func simulateDrive(sn string, v *VendorSpec, k kind, failDay int, cfg *Config, c
 			lastDay = 0
 		}
 	}
-	out := driveOutput{records: make([]dataset.Record, 0, lastDay+1)}
+	var out driveOut
 	var failHours float64
 	for day := 0; day <= lastDay; day++ {
 		powered := r.Float64() < d.usage.onProb[day%7]
@@ -285,13 +310,16 @@ func simulateDrive(sn string, v *VendorSpec, k kind, failDay int, cfg *Config, c
 		if !powered {
 			continue
 		}
-		rec := d.stepDay(r, day, cfg)
-		out.records = append(out.records, rec)
+		row := off + out.rows
+		f.SetDay(row, int32(day))
+		smart := (*smartattr.Values)(f.SmartRow(row))
+		d.stepDayInto(r, day, cfg, smart, f.WRow(row), f.BRow(row))
+		out.rows++
 		if d.failDay >= 0 {
 			// The age at the last observation approximates the age at
 			// death (exact when the final record lands on the failure
 			// day, which it does unless the user abandoned the machine).
-			failHours = rec.Smart.Get(smartattr.PowerOnHours)
+			failHours = smart.Get(smartattr.PowerOnHours)
 		}
 	}
 
@@ -320,4 +348,22 @@ func simulateDrive(sn string, v *VendorSpec, k kind, failDay int, cfg *Config, c
 		}
 	}
 	return out
+}
+
+// FrameResult is a Result with the telemetry also under the name Frame.
+// It and SimulateFrame keep the benchmark harness under e2ebench/, their
+// only caller, compiling; delete both when that harness moves to
+// Simulate.
+type FrameResult struct {
+	*Result
+	Frame *dataset.Frame
+}
+
+// SimulateFrame is Simulate returning a FrameResult.
+func SimulateFrame(cfg Config) (*FrameResult, error) {
+	res, err := Simulate(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &FrameResult{Result: res, Frame: res.Data}, nil
 }

@@ -41,7 +41,8 @@ func TestSimulateDeterministic(t *testing.T) {
 	if a.Data.Len() != b.Data.Len() || a.Data.Drives() != b.Data.Drives() {
 		t.Fatalf("sizes differ: %d/%d vs %d/%d", a.Data.Drives(), a.Data.Len(), b.Data.Drives(), b.Data.Len())
 	}
-	for _, sn := range a.Data.SerialNumbers() {
+	for i := 0; i < a.Data.Drives(); i++ {
+		sn := a.Data.Drive(i).SerialNumber
 		sa, _ := a.Data.Series(sn)
 		sb, ok := b.Data.Series(sn)
 		if !ok {
@@ -76,7 +77,7 @@ func TestSimulateSeedChangesFleet(t *testing.T) {
 	if a.Data.Len() == b.Data.Len() {
 		// Sizes colliding is possible but full equality is not; check a
 		// drive's first record hours.
-		snA := a.Data.SerialNumbers()[0]
+		snA := a.Data.Drive(0).SerialNumber
 		sa, _ := a.Data.Series(snA)
 		sb, ok := b.Data.Series(snA)
 		if ok && len(sa.Records) > 0 && len(sb.Records) > 0 &&
@@ -133,13 +134,13 @@ func TestNoTelemetryAfterFailure(t *testing.T) {
 		if !ok {
 			continue
 		}
-		if s.LastDay() > truth.FailDay {
-			t.Errorf("drive %s logs on day %d after failing on day %d", sn, s.LastDay(), truth.FailDay)
+		if lastDay(s) > truth.FailDay {
+			t.Errorf("drive %s logs on day %d after failing on day %d", sn, lastDay(s), truth.FailDay)
 		}
 		// The machine is on the day it dies, so the final record lands
 		// exactly on the failure day.
-		if s.LastDay() != truth.FailDay {
-			t.Errorf("drive %s last log %d != fail day %d", sn, s.LastDay(), truth.FailDay)
+		if lastDay(s) != truth.FailDay {
+			t.Errorf("drive %s last log %d != fail day %d", sn, lastDay(s), truth.FailDay)
 		}
 	}
 }
@@ -175,11 +176,11 @@ func TestCountersMonotone(t *testing.T) {
 func TestTelemetryIsDiscontinuous(t *testing.T) {
 	res := tinyFleet(t)
 	gaps := 0
-	res.Data.Each(func(s *dataset.DriveSeries) {
-		if s.MaxGap() > 1 {
+	for i := 0; i < res.Data.Drives(); i++ {
+		if res.Data.MaxGap(i) > 1 {
 			gaps++
 		}
-	})
+	}
 	if gaps < res.Data.Drives()/2 {
 		t.Fatalf("only %d of %d drives have gaps; CSS telemetry must be discontinuous", gaps, res.Data.Drives())
 	}
@@ -277,7 +278,10 @@ func TestFaultyDrivesShowPrefailureSignals(t *testing.T) {
 		}
 		checked++
 		var w, b float64
-		for _, r := range s.Window(truth.FailDay-10, truth.FailDay) {
+		for _, r := range s.Records {
+			if r.Day < truth.FailDay-10 || r.Day > truth.FailDay {
+				continue
+			}
 			w += r.WCounts.Total()
 			b += r.BCounts.Total()
 		}
@@ -360,7 +364,7 @@ func TestBathtubFailureHoursInRange(t *testing.T) {
 	}
 }
 
-func newTestRand() *rand.Rand { return driveRNG(42, "test-drive") }
+func newTestRand() *rand.Rand { return rand.New(rand.NewSource(driveRNGSeed(42, "test-drive"))) }
 
 func TestDriftConfigRaisesBackgroundWEvents(t *testing.T) {
 	cfg := DriftConfig()
@@ -432,10 +436,10 @@ func TestAbandonmentWidensTicketGap(t *testing.T) {
 		if !ok {
 			continue
 		}
-		if s.LastDay() > truth.FailDay {
+		if lastDay(s) > truth.FailDay {
 			t.Fatalf("drive %s logs after failure", sn)
 		}
-		if s.LastDay() < truth.FailDay {
+		if lastDay(s) < truth.FailDay {
 			early++
 		}
 	}
@@ -448,5 +452,25 @@ func TestAbandonmentWidensTicketGap(t *testing.T) {
 	bad.AbandonMaxDays = 0
 	if err := bad.Validate(); err == nil {
 		t.Fatal("AbandonShare without AbandonMaxDays accepted")
+	}
+}
+
+// lastDay returns the series' latest observation day, or -1 when empty.
+func lastDay(s *dataset.DriveSeries) int {
+	if len(s.Records) == 0 {
+		return -1
+	}
+	return s.Records[len(s.Records)-1].Day
+}
+
+// TestSimulateFrameShim pins the compatibility form the benchmark
+// harness still calls: the same fleet, its telemetry also named Frame.
+func TestSimulateFrameShim(t *testing.T) {
+	res, err := SimulateFrame(TinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Frame == nil || res.Frame != res.Data || res.Tickets.Len() == 0 {
+		t.Fatal("SimulateFrame does not wrap Simulate's result")
 	}
 }

@@ -7,7 +7,7 @@
 // The package re-exports the pipeline pieces a downstream user needs:
 //
 //   - simulate a consumer fleet (or ingest your own telemetry as a
-//     dataset.Dataset + ticket.Store),
+//     dataset.Frame, from CSV or the MFPAC container, + ticket.Store),
 //   - prepare it (discontinuity optimisation, cumulative counters,
 //     failure-time identification),
 //   - train a per-vendor failure predictor over any SFWB feature group
@@ -54,8 +54,8 @@ type (
 	FleetConfig = simfleet.Config
 	// Fleet is a simulated consumer population.
 	Fleet = simfleet.Result
-	// Dataset is the drive telemetry collection.
-	Dataset = dataset.Dataset
+	// Frame is the columnar drive telemetry.
+	Frame = dataset.Frame
 	// TicketStore holds the after-sales RaSRF tickets.
 	TicketStore = ticket.Store
 )
@@ -95,21 +95,12 @@ func SimulateFleet(cfg FleetConfig) (*Fleet, error) { return simfleet.Simulate(c
 
 // Train runs the full MFPA pipeline (prepare + train + held-out
 // evaluation) on a fleet's telemetry and tickets.
-func Train(data *Dataset, tickets *TicketStore, cfg Config) (*Model, *TrainReport, error) {
-	p, err := Prepare(data, tickets, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return core.Train(p)
+func Train(data *Frame, tickets *TicketStore, cfg Config) (*Model, *TrainReport, error) {
+	return core.TrainOnFrame(data, tickets, cfg)
 }
 
 // Prepare runs only the data stages, for callers who want to train
-// several models on one prepared dataset. The telemetry is converted
-// to the columnar frame the pipeline runs on.
-func Prepare(data *Dataset, tickets *TicketStore, cfg Config) (*core.Prepared, error) {
-	f, err := dataset.FrameFromDataset(data)
-	if err != nil {
-		return nil, err
-	}
-	return core.PrepareFrame(f, tickets, cfg)
+// several models on one prepared fleet.
+func Prepare(data *Frame, tickets *TicketStore, cfg Config) (*core.Prepared, error) {
+	return core.PrepareFrame(data, tickets, cfg)
 }
