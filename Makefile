@@ -41,27 +41,13 @@ chaos:
 # verify is the full local gate: build, lint, unit tests, chaos suite.
 verify: build lint test chaos
 
-# Seed-commit BenchmarkForestTrain numbers (pre histogram engine),
-# measured with `git worktree add <dir> <ref>` + `go test -bench
-# BenchmarkForestTrain -benchmem -benchtime 2s ./internal/ml/forest`.
-# Re-measure on new hardware before comparing.
-BASELINE_REF    ?= 0e00b81
-BASELINE_NS     ?= 77893883
-BASELINE_BYTES  ?= 21106284
-BASELINE_ALLOCS ?= 34346
-
-# bench writes BENCH_train.json (training: the histogram engine, and
-# its speedup over the seed-commit numbers below), BENCH_predict.json
-# (scoring: flattened batch kernel vs the per-row interface path), and
-# BENCH_io.json (MFPAC binary telemetry container vs the CSV compat
-# format, gated on a bit-exact load equivalence check) via
-# cmd/mfpabench. Serving is measured end to end by the fleetops
-# workload of e2ebench.
+# bench runs the package benchmarks (simulation, telemetry codecs,
+# feature extraction, search, batch scoring, forest/GBDT training and
+# the CNN_LSTM kernel). End-to-end numbers — the report, the
+# mfpagen → mfpatrain path and the fleet-ops loop — come from
+# `bash e2ebench/run.sh --workload report|train|fleetops`.
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./internal/parallel ./internal/simfleet ./internal/dataset ./internal/features ./internal/ml/search ./internal/ml/predict ./internal/ml/forest ./internal/ml/gbdt ./internal/ml/nn
-	$(GO) run ./cmd/mfpabench -out BENCH_train.json -predict-out BENCH_predict.json -io-out BENCH_io.json -benchtime 2s \
-		-baseline-ref $(BASELINE_REF) -baseline-ns $(BASELINE_NS) \
-		-baseline-bytes $(BASELINE_BYTES) -baseline-allocs $(BASELINE_ALLOCS)
 
 report:
 	$(GO) run ./cmd/mfpareport -scale 0.2

@@ -377,7 +377,19 @@ func NewFrameBuilder() *FrameBuilder {
 // Values are copied into the frame's columns.
 func (b *FrameBuilder) AppendRow(sn, vendor, model string, day int, fw firmware.Version,
 	smart *smartattr.Values, w winevent.Counts, bc bsod.Counts, interp bool) error {
-	if err := checkRow(sn, day, smart, w, bc); err != nil {
+	if sn == "" {
+		return errors.New("dataset: record has empty serial number")
+	}
+	if day < 0 {
+		return fmt.Errorf("dataset: record %s has negative day %d", sn, day)
+	}
+	if w != nil && len(w) != wWidth {
+		return fmt.Errorf("dataset: record %s has %d W counters, want %d", sn, len(w), wWidth)
+	}
+	if bc != nil && len(bc) != bWidth {
+		return fmt.Errorf("dataset: record %s has %d B counters, want %d", sn, len(bc), bWidth)
+	}
+	if err := validateValues(sn, smart[:], w, bc); err != nil {
 		return err
 	}
 	f := b.f
@@ -411,23 +423,6 @@ func (b *FrameBuilder) AppendRow(sn, vendor, model string, day int, fw firmware.
 	}
 	f.setRow(row, day, fw, smart, w, bc, interp)
 	return nil
-}
-
-// checkRow validates one observation's identity and payload.
-func checkRow(sn string, day int, smart *smartattr.Values, w winevent.Counts, bc bsod.Counts) error {
-	if sn == "" {
-		return errors.New("dataset: record has empty serial number")
-	}
-	if day < 0 {
-		return fmt.Errorf("dataset: record %s has negative day %d", sn, day)
-	}
-	if w != nil && len(w) != wWidth {
-		return fmt.Errorf("dataset: record %s has %d W counters, want %d", sn, len(w), wWidth)
-	}
-	if bc != nil && len(bc) != bWidth {
-		return fmt.Errorf("dataset: record %s has %d B counters, want %d", sn, len(bc), bWidth)
-	}
-	return validateValues(sn, smart[:], w, bc)
 }
 
 // checkIdentity rejects a row whose vendor or model differs from its

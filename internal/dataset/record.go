@@ -1,9 +1,17 @@
-// Package dataset defines the telemetry records collected from
-// consumer SSDs and the dataset-level preprocessing the paper's MFPA
-// pipeline applies before modelling: gap analysis, discontinuity
-// optimisation (drop drives with intervals ≥ 10 days, mean-fill
-// intervals ≤ 3 days), and the cumulative transform of the daily
-// WindowsEvent/BSOD counters.
+// Package dataset holds the telemetry collected from consumer SSDs and
+// the preprocessing the paper's MFPA pipeline applies before modelling.
+//
+// Telemetry has one in-memory representation, the columnar Frame: the
+// simulator, the CSV and MFPAC readers and the collection agent all
+// fill one, FilterVendor and Until give column-sharing views of it,
+// and Series and Each give read-only record views for per-record
+// consumers. A Record is one drive-day observation: the wire and
+// day-batch row of serving, CSV and the collector.
+//
+// PreparePipeline applies gap analysis, the discontinuity optimisation
+// (drop drives with intervals ≥ 10 days, mean-fill intervals ≤ 3 days)
+// and the cumulative transform of the daily WindowsEvent/BSOD counters
+// in one pass over a frame.
 package dataset
 
 import (

@@ -17,7 +17,9 @@
 //   - tickets record the initial maintenance time, which lags the real
 //     failure by a user-dependent delay (the θ problem, Fig. 7).
 //
-// Every run is deterministic given Config.Seed.
+// Simulate writes the fleet's telemetry straight into one columnar
+// dataset.Frame, the repository's only telemetry representation. Every
+// run is deterministic given Config.Seed, at any worker count.
 package simfleet
 
 import (

@@ -6,8 +6,9 @@
 //
 // The package re-exports the pipeline pieces a downstream user needs:
 //
-//   - simulate a consumer fleet (or ingest your own telemetry as a
-//     dataset.Frame, from CSV or the MFPAC container, + ticket.Store),
+//   - simulate a consumer fleet (or load your own telemetry into a
+//     Frame with dataset.ReadTelemetry, from CSV or the MFPAC
+//     container, and fill a ticket.Store),
 //   - prepare it (discontinuity optimisation, cumulative counters,
 //     failure-time identification),
 //   - train a per-vendor failure predictor over any SFWB feature group
