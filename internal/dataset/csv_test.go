@@ -17,11 +17,15 @@ func TestCSVRoundTrip(t *testing.T) {
 	s.Records[1].Interpolated = true
 	s.Records[1].BCounts[3] = 2.5
 
-	var buf bytes.Buffer
-	if err := writeCSVRecords(&buf, d); err != nil {
+	f, err := frameOf(d)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := readCSVRecords(&buf)
+	var buf bytes.Buffer
+	if err := WriteCSVFrame(&buf, f); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadCSVFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +68,15 @@ func TestCSVRoundTripProperty(t *testing.T) {
 				}
 			}
 		}
-		var buf bytes.Buffer
-		if err := writeCSVRecords(&buf, d); err != nil {
+		f, err := frameOf(d)
+		if err != nil {
 			return false
 		}
-		got, err := readCSVRecords(&buf)
+		var buf bytes.Buffer
+		if err := WriteCSVFrame(&buf, f); err != nil {
+			return false
+		}
+		got, err := ReadCSVFrame(&buf)
 		if err != nil {
 			return false
 		}
@@ -111,15 +119,19 @@ func TestCSVRoundTripProperty(t *testing.T) {
 
 func TestReadCSVRejectsBadHeader(t *testing.T) {
 	in := "nope,header\n"
-	if _, err := readCSVRecords(strings.NewReader(in)); err == nil {
+	if _, err := ReadCSVFrame(strings.NewReader(in)); err == nil {
 		t.Fatal("bad header accepted")
 	}
 }
 
 func TestReadCSVRejectsBadValues(t *testing.T) {
 	d := buildSet(t, map[string][]int{"A": {0}})
+	f, err := frameOf(d)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := writeCSVRecords(&buf, d); err != nil {
+	if err := WriteCSVFrame(&buf, f); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -127,7 +139,7 @@ func TestReadCSVRejectsBadValues(t *testing.T) {
 	cells := strings.Split(lines[1], ",")
 	cells[3] = "notaday"
 	corrupted := lines[0] + "\n" + strings.Join(cells, ",") + "\n"
-	if _, err := readCSVRecords(strings.NewReader(corrupted)); err == nil {
+	if _, err := ReadCSVFrame(strings.NewReader(corrupted)); err == nil {
 		t.Fatal("bad day value accepted")
 	}
 }
